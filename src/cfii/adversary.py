@@ -22,8 +22,6 @@ softmax-tangent, module-FI, endpoint-FIM, and pseudoinverse stages.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +34,7 @@ from .rng import derive_rng
 FI_FLOOR = 1e-14
 
 _U = np.ones(2)
+_NORM_U = float(np.linalg.norm(_U))
 _TAG_RESTART = 5
 
 
@@ -102,7 +101,6 @@ class OptimizeResult:
 
     best_gamma: float
     restart_gammas: tuple[float, ...]
-    max_evaluated: float
     trajectories: tuple[np.ndarray, ...] = field(default=())
 
 
@@ -165,166 +163,110 @@ def gamma_adv(params: AdversaryParams) -> float:
     return evaluate(params).gamma_adv
 
 
-def _forward(a, a_dot, d, d_dot):
-    """Total objective used by the optimizer: 0 on degenerate iterates.
+def _unpack(theta: np.ndarray, l: int, m: int):
+    """Views (a, a_dot, d, d_dot) of a (B, 2L + 2LM) batch of parameters."""
+    b = theta.shape[0]
+    return (theta[:, :l], theta[:, l:2 * l],
+            theta[:, 2 * l:2 * l + l * m].reshape(b, l, m),
+            theta[:, 2 * l + l * m:].reshape(b, l, m))
 
-    Returns (gamma, context-or-None).  Matches `gamma_adv` exactly on
-    nondegenerate parameters: same eigendecomposition pseudoinverse, same
-    cutoff constants.
+
+def _forward(theta: np.ndarray, l: int, m: int):
+    """Objective of the optimizer on a batch, one row of theta per restart.
+
+    Returns (gamma, degenerate, ctx).  A row whose module FI is below
+    FI_FLOOR, or whose direction u leaves the endpoint row space (the blind
+    m = 2 endpoint), gets gamma = 0 and a zero gradient.  Every other row
+    matches `gamma_adv`: same eigendecomposition pseudoinverse, same cutoff
+    constants.  Rows never mix, so a row's value does not depend on the batch.
     """
+    b = theta.shape[0]
+    a, a_dot, d, d_dot = _unpack(theta, l, m)
     alpha = _softmax(a)
-    ra = a_dot - alpha @ a_dot
-    alpha_dot = alpha * ra
+    ra = a_dot - (alpha * a_dot).sum(-1, keepdims=True)
     beta = _softmax(d)
-    rb = d_dot - (beta * d_dot).sum(axis=1, keepdims=True)
-    beta_dot = beta * rb
-    f_ac = float(np.sum(alpha * ra ** 2))
-    g_rows = np.sum(beta * rb ** 2, axis=1)
-    f_cb = float(np.sum(alpha * g_rows))
-    if f_ac < FI_FLOOR or f_cb < FI_FLOOR:
-        return 0.0, None
+    rb = d_dot - (beta * d_dot).sum(-1, keepdims=True)
+    f_ac = (alpha * ra ** 2).sum(-1)
+    g_rows = (beta * rb ** 2).sum(-1)
+    f_cb = (alpha * g_rows).sum(-1)
+    degenerate = np.minimum(f_ac, f_cb) < FI_FLOOR
 
-    p = beta.T @ alpha
-    v1 = beta.T @ alpha_dot
-    v2 = beta_dot.T @ alpha
+    # three channels up[k] @ down[k]: v1 = alpha_dot @ beta,
+    # v2 = alpha @ beta_dot and p = alpha @ beta
+    up = np.concatenate((alpha * ra, alpha, alpha), axis=1).reshape(b, 3, 1, l)
+    down = np.concatenate((beta, beta * rb, beta), axis=1).reshape(b, 3, l, m)
+    vp = (up @ down)[:, :, 0]
+    v, p = vp[:, :2], vp[:, 2]
     live_p = p > 1e-300
-    pl, v1l, v2l = p[live_p], v1[live_p], v2[live_p]
-    fb = np.array([[np.sum(v1l ** 2 / pl), np.sum(v1l * v2l / pl)],
-                   [np.sum(v1l * v2l / pl), np.sum(v2l ** 2 / pl)]])
-    fb = 0.5 * (fb + fb.T)
-
-    w, vecs = np.linalg.eigh(fb)
-    cutoff = PINV_RCOND * max(w.max(), 0.0)
-    live = w > cutoff
-    coords = vecs.T @ _U
+    wv = v * (live_p / np.maximum(p, 1e-300))[:, None]
+    # F_B = sum v v^T / p over live outcomes; eigh reads its lower triangle
+    w, vecs = np.linalg.eigh(wv @ v.swapaxes(1, 2))
+    live = w > PINV_RCOND * np.maximum(w[:, -1:], 0.0)  # w is ascending
+    coords = vecs.sum(axis=1)  # vecs^T u for u = (1, 1)
+    lost = np.sqrt(((coords * ~live) ** 2).sum(-1)) > ROWSPACE_TOL * _NORM_U
+    ok = ~(degenerate | lost)
+    cw = coords / np.where(live, w, np.inf)
+    inv_res = 1.0 / np.where(ok, (coords * cw).sum(-1), np.inf)
+    f_ac = np.maximum(f_ac, FI_FLOOR)
+    f_cb = np.maximum(f_cb, FI_FLOOR)
     harmonic_res = 1.0 / f_ac + 1.0 / f_cb
-    if np.linalg.norm(coords[~live]) > ROWSPACE_TOL * np.linalg.norm(_U):
-        # direction lost at the endpoint: zero effective FI, flat objective
-        return 0.0, (alpha, alpha_dot, beta, beta_dot, ra, rb, g_rows,
-                     f_ac, f_cb, p, v1, v2, live_p, None, None, harmonic_res)
-    resistance = float(np.sum(coords[live] ** 2 / w[live]))
-    q = vecs[:, live] @ (coords[live] / w[live])
-    gamma = (1.0 / resistance) * harmonic_res
-    return gamma, (alpha, alpha_dot, beta, beta_dot, ra, rb, g_rows,
-                   f_ac, f_cb, p, v1, v2, live_p, q, resistance, harmonic_res)
+    q = (vecs @ cw[..., None])[..., 0]
+    return inv_res * harmonic_res, degenerate, (
+        alpha, ra, beta, rb, g_rows, f_ac, f_cb, up, down, wv, q, inv_res,
+        harmonic_res, ok)
 
 
-def _backward(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode gradient of Gamma_adv given the forward context."""
-    (alpha, alpha_dot, beta, beta_dot, ra, rb, g_rows,
-     f_ac, f_cb, p, v1, v2, live_p, q, resistance, harmonic_res) = ctx
-    if q is None:
-        # flat zero region (direction outside the endpoint row space)
-        return (np.zeros_like(alpha), np.zeros_like(alpha),
-                np.zeros_like(beta), np.zeros_like(beta))
-
-    # Gamma = harmonic_res / resistance; dresistance/dF_B = -qq^T
-    w_tilde = (harmonic_res / resistance ** 2) * np.outer(q, q)
-    g_fac = -(1.0 / resistance) / f_ac ** 2
-    g_fcb = -(1.0 / resistance) / f_cb ** 2
-
-    safe_p = np.where(live_p, p, 1.0)
-    gv1 = np.where(live_p, 2.0 * (w_tilde[0, 0] * v1 + w_tilde[0, 1] * v2) / safe_p, 0.0)
-    gv2 = np.where(live_p, 2.0 * (w_tilde[1, 1] * v2 + w_tilde[0, 1] * v1) / safe_p, 0.0)
-    gp = np.where(
-        live_p,
-        -(w_tilde[0, 0] * v1 ** 2 + 2.0 * w_tilde[0, 1] * v1 * v2
-          + w_tilde[1, 1] * v2 ** 2) / safe_p ** 2,
-        0.0)
+def _backward(ctx) -> np.ndarray:
+    """Reverse-mode gradient of the batched objective, shape (B, n_par)."""
+    (alpha, ra, beta, rb, g_rows, f_ac, f_cb, up, down, wv, q, inv_res,
+     harmonic_res, ok) = ctx
+    b, l, m = beta.shape
+    if not ok.any():  # e.g. every row on the blind m = 2 endpoint
+        return np.zeros((b, 2 * l + 2 * l * m))
+    # Gamma = harmonic_res / resistance and dresistance/dF_B = -q q^T, so
+    # with s = harmonic_res / resistance^2 and z = q . v / p the endpoint
+    # terms are dGamma/d(v1, v2) = 2 s q z and dGamma/dp = -s z^2
+    s = harmonic_res * inv_res ** 2
+    z = (q[:, None] @ wv)[:, 0]
+    sz = s[:, None] * z
+    g_vp = np.concatenate((2.0 * q[:, :, None] * sz[:, None], -(sz * z)[:, None]),
+                          axis=1)
+    g_up = (down @ g_vp[..., None])[..., 0]
+    g_down = up.swapaxes(2, 3) * g_vp[:, :, None]
+    g_fac = (-inv_res / f_ac ** 2)[:, None]
+    g_fcb = (-inv_res / f_cb ** 2)[:, None]
 
     # accumulate into kernel space: F_ac = sum alpha ra^2 has
     # dF/dalpha = -ra^2 and dF/dalpha_dot = 2 ra in (alpha, alpha_dot) terms
-    g_alpha = g_fac * (-ra ** 2) + g_fcb * g_rows + beta @ gp + beta_dot @ gv2
-    g_alpha_dot = g_fac * (2.0 * ra) + beta @ gv1
-    g_beta = (g_fcb * (-alpha[:, None] * rb ** 2)
-              + alpha[:, None] * gp[None, :]
-              + alpha_dot[:, None] * gv1[None, :])
-    g_beta_dot = (g_fcb * (2.0 * alpha[:, None] * rb)
-                  + alpha[:, None] * gv2[None, :])
+    g_alpha = g_up[:, 1] + g_up[:, 2] + g_fcb * g_rows - g_fac * ra ** 2
+    g_alpha_dot = g_up[:, 0] + 2.0 * g_fac * ra
+    t = g_fcb[..., None] * alpha[..., None] * rb
+    g_beta = g_down[:, 0] + g_down[:, 2] - t * rb
+    g_beta_dot = g_down[:, 1] + 2.0 * t
 
-    def through_softmax(prob, tang, g_prob, g_tang):
-        # backward of prob = softmax(x), tang = prob*(xdot - <xdot>)
-        gx = (prob * (g_prob - g_prob @ prob)
-              + g_tang * tang - prob * (g_tang @ tang) - tang * (g_tang @ prob))
-        gxdot = prob * (g_tang - g_tang @ prob)
-        return gx, gxdot
+    def through_softmax(prob, r, g_prob, g_t):
+        # backward of prob = softmax(x), tang = prob * r, r = xdot - <xdot>
+        mean = ((g_prob + g_t * r) * prob).sum(-1, keepdims=True)
+        g_t = g_t - (g_t * prob).sum(-1, keepdims=True)
+        return prob * (g_prob - mean) + prob * r * g_t, prob * g_t
 
-    ga, ga_dot = through_softmax(alpha, alpha_dot, g_alpha, g_alpha_dot)
-    gd = np.empty_like(beta)
-    gd_dot = np.empty_like(beta)
-    for c in range(beta.shape[0]):
-        gd[c], gd_dot[c] = through_softmax(beta[c], beta_dot[c],
-                                           g_beta[c], g_beta_dot[c])
-    return ga, ga_dot, gd, gd_dot
+    ga, ga_dot = through_softmax(alpha, ra, g_alpha, g_alpha_dot)
+    gd, gd_dot = through_softmax(beta, rb, g_beta, g_beta_dot)
+    grad = np.concatenate((ga, ga_dot, gd.reshape(b, -1),
+                           gd_dot.reshape(b, -1)), axis=1)
+    grad[~ok] = 0.0  # exact zeros, whatever the row's intermediates hold
+    return grad
 
 
 def gamma_adv_gradient(params: AdversaryParams
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradient of Gamma_adv with respect to (a, a_dot, d, d_dot)."""
-    gamma, ctx = _forward(params.a, params.a_dot, params.d, params.d_dot)
-    if ctx is None:
+    theta = np.concatenate((params.a, params.a_dot, params.d.ravel(),
+                            params.d_dot.ravel()))[None]
+    _, degenerate, ctx = _forward(theta, params.l, params.m)
+    if degenerate[0]:
         raise DegenerateBenchmarkError("gradient undefined: module FI vanished")
-    return _backward(ctx)
-
-
-def _run_restart(l: int, m: int, steps: int, lr: float, seed: int,
-                 restart: int, track: bool):
-    rng = derive_rng(seed, _TAG_RESTART, restart)
-    n_par = 2 * l + 2 * l * m
-    for _ in range(100):
-        theta = rng.normal(size=n_par)
-        if _forward(*_unpack(theta, l, m))[1] is not None:
-            break
-    else:
-        raise OptimizationError("could not draw a nondegenerate initialization")
-
-    m1 = np.zeros(n_par)
-    m2 = np.zeros(n_par)
-    best = -np.inf
-    seen = -np.inf
-    trajectory = [] if track else None
-    for t in range(1, steps + 1):
-        gamma, ctx = _forward(*_unpack(theta, l, m))
-        best = max(best, gamma)
-        seen = max(seen, gamma)
-        if trajectory is not None:
-            trajectory.append(gamma)
-        if ctx is None:
-            grad = np.zeros(n_par)
-        else:
-            grad = np.concatenate([g.ravel() for g in _backward(ctx)])
-        m1 = 0.9 * m1 + 0.1 * grad
-        m2 = 0.999 * m2 + 0.001 * grad ** 2
-        step = (m1 / (1.0 - 0.9 ** t)) / (np.sqrt(m2 / (1.0 - 0.999 ** t)) + 1e-8)
-        theta = theta + lr * step
-    gamma, _ = _forward(*_unpack(theta, l, m))
-    best = max(best, gamma)
-    seen = max(seen, gamma)
-    if trajectory is not None:
-        trajectory.append(gamma)
-    return best, seen, (np.asarray(trajectory) if track else None)
-
-
-def _unpack(theta: np.ndarray, l: int, m: int):
-    a = theta[:l]
-    a_dot = theta[l:2 * l]
-    d = theta[2 * l:2 * l + l * m].reshape(l, m)
-    d_dot = theta[2 * l + l * m:].reshape(l, m)
-    return a, a_dot, d, d_dot
-
-
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("CFII_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"CFII_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ValueError(f"CFII_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_tasks, cap))
+    return tuple(g[0] for g in _unpack(_backward(ctx), params.l, params.m))
 
 
 def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
@@ -333,31 +275,49 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
     """Adam ascent on Gamma_adv from independent standard-normal
     initializations, one derived RNG stream per restart.
 
-    Restarts run on a thread pool sized by CFII_THREADS (auto when absent);
-    results are aggregated deterministically by restart index.  Each
-    restart reports the best objective it ever evaluated; `max_evaluated`
-    is the maximum over every iterate of every restart.
+    All restarts advance together as the rows of one batch; a restart's
+    values do not depend on how many others share it.  Each restart reports
+    the best objective it ever evaluated.
     """
     if l < 2 or m < 2:
         raise ValueError("adversary search needs l >= 2 and m >= 2")
     if n_restarts < 1 or steps < 0:
         raise ValueError("need n_restarts >= 1 and steps >= 0")
 
-    workers = _max_workers(n_restarts)
-    if workers == 1:
-        outs = [_run_restart(l, m, steps, lr, seed, r, track_trajectories)
-                for r in range(n_restarts)]
+    n_par = 2 * l + 2 * l * m
+    rngs = [derive_rng(seed, _TAG_RESTART, r) for r in range(n_restarts)]
+    theta = np.empty((n_restarts, n_par))
+    redraw = range(n_restarts)
+    for _ in range(100):
+        for r in redraw:
+            theta[r] = rngs[r].normal(size=n_par)
+        redraw = np.flatnonzero(_forward(theta, l, m)[1])
+        if redraw.size == 0:
+            break
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(
-                lambda r: _run_restart(l, m, steps, lr, seed, r,
-                                       track_trajectories),
-                range(n_restarts)))
+        raise OptimizationError("could not draw a nondegenerate initialization")
 
-    bests = tuple(o[0] for o in outs)
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
+    best = np.full(n_restarts, -np.inf)
+    trajectory = []
+    for t in range(1, steps + 2):
+        gamma, _, ctx = _forward(theta, l, m)
+        np.maximum(best, gamma, out=best)
+        if track_trajectories:
+            trajectory.append(gamma)
+        if t > steps:  # the final iterate is evaluated, not stepped
+            break
+        grad = _backward(ctx)
+        m1 = 0.9 * m1 + 0.1 * grad
+        m2 = 0.999 * m2 + 0.001 * grad ** 2
+        step = (m1 / (1.0 - 0.9 ** t)) / (np.sqrt(m2 / (1.0 - 0.999 ** t)) + 1e-8)
+        theta += lr * step
+
+    bests = tuple(best.tolist())
     return OptimizeResult(
         best_gamma=max(bests),
         restart_gammas=bests,
-        max_evaluated=max(o[1] for o in outs),
-        trajectories=tuple(o[2] for o in outs) if track_trajectories else (),
+        trajectories=(tuple(np.stack(trajectory, axis=1))
+                      if track_trajectories else ()),
     )

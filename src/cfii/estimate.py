@@ -196,6 +196,8 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
         raise ValueError(f"chain needs k >= 2 segments, got {k}")
     if n_per_context < 2:
         raise ValueError("need n_per_context >= 2")
+    if not (math.isfinite(t_total) and t_total > 0.0):
+        raise ValueError(f"need a finite t_total > 0, got {t_total}")
     thetas = [t_total] + [t_total / k] * k
     estimates = []
     se2 = 0.0

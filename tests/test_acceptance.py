@@ -200,7 +200,7 @@ def _joint_model_reference(params, h=1e-5):
 def test_adversary_saturation_frontier():
     with budget("adversary-frontier", 120.0):
         result = optimize_restarts(5, 5, n_restarts=36, steps=2000, seed=0)
-        assert result.max_evaluated <= 1.0 + 1e-9
+        assert result.best_gamma <= 1.0 + 1e-9
         assert all(g <= 1.0 + 1e-9 for g in result.restart_gammas)
         assert result.best_gamma >= 0.99
 

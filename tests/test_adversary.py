@@ -1,14 +1,13 @@
 """Tests for the modular softmax-tangent adversary and its optimizer."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
-from cfii.adversary import (AdversaryParams, endpoint_fim, eval_kernels,
-                            evaluate, gamma_adv, gamma_adv_gradient,
-                            module_fis, optimize_restarts)
+from cfii.adversary import (AdversaryParams, _backward, _forward,
+                            endpoint_fim, eval_kernels, evaluate, gamma_adv,
+                            gamma_adv_gradient, module_fis, optimize_restarts)
 from cfii.errors import DegenerateBenchmarkError
 from cfii.rng import derive_rng
 
@@ -253,6 +252,58 @@ class TestGradient:
             gamma_adv_gradient(params)
 
 
+class TestBatchedCore:
+    def test_mixed_batch_keeps_rows_apart(self):
+        # one batch: healthy rows whose endpoint FIMs differ in scale by
+        # 1e12 (each row has its own eigenvalue cutoff), an FI-floor row
+        # (constant a_dot gives F_ac = 0) and blind rows whose endpoint has
+        # two outcomes, either with the others at exactly zero probability
+        # (the p > 1e-300 mask) or merely negligible (the row-space test)
+        rng = np.random.default_rng(22)
+        l, m = 3, 4
+
+        def scaled(tangent_scale):
+            return AdversaryParams(
+                a=rng.normal(size=l),
+                a_dot=tangent_scale * rng.normal(size=l),
+                d=rng.normal(size=(l, m)),
+                d_dot=tangent_scale * rng.normal(size=(l, m)))
+
+        def with_dead_outcomes(shift):
+            params = scaled(1.0)
+            return AdversaryParams(a=params.a, a_dot=params.a_dot,
+                                   d=params.d + np.array([0, 0, shift, shift]),
+                                   d_dot=params.d_dot)
+
+        healthy = [scaled(1e-5), scaled(1.0), scaled(10.0)]
+        floor = AdversaryParams(a=rng.normal(size=l), a_dot=np.full(l, 0.4),
+                                d=rng.normal(size=(l, m)),
+                                d_dot=rng.normal(size=(l, m)))
+        zero_p = [with_dead_outcomes(-800.0) for _ in range(2)]
+        tiny_p = with_dead_outcomes(-40.0)
+        rows = [healthy[0], floor, zero_p[0], healthy[1], tiny_p, zero_p[1],
+                healthy[2]]
+        theta = np.stack([np.concatenate((p.a, p.a_dot, p.d.ravel(),
+                                          p.d_dot.ravel())) for p in rows])
+        gamma, degenerate, ctx = _forward(theta, l, m)
+        grad = _backward(ctx)
+
+        assert degenerate.tolist() == [p is floor for p in rows]
+        for i, params in enumerate(rows):
+            if params is floor or any(params is p for p in zero_p):
+                assert gamma[i] == 0.0
+                assert np.all(grad[i] == 0.0)
+                continue
+            assert abs(gamma[i] - gamma_adv(params)) <= 1e-14
+            reference = np.concatenate(
+                [g.ravel() for g in gamma_adv_gradient(params)])
+            assert np.max(np.abs(grad[i] - reference)) <= 1e-12
+        assert gamma[4] == 0.0 and np.all(grad[4] == 0.0)
+        assert min(gamma[i] for i in (0, 3, 6)) > 0.0
+        with pytest.raises(DegenerateBenchmarkError):
+            gamma_adv(floor)
+
+
 class TestOptimizeRestarts:
     def test_zero_steps_returns_initialization_value(self):
         l, m = 3, 3
@@ -277,31 +328,22 @@ class TestOptimizeRestarts:
             assert best == pytest.approx(float(trajectory.max()), rel=1e-14)
             running = np.maximum.accumulate(trajectory)
             assert np.all(np.diff(running) >= 0.0)
-        assert result.max_evaluated == pytest.approx(
-            max(float(t.max()) for t in result.trajectories), rel=1e-14)
+        assert result.best_gamma == max(
+            float(t.max()) for t in result.trajectories)
         assert result.best_gamma == max(result.restart_gammas)
 
-    def test_deterministic_and_thread_independent(self, monkeypatch):
-        monkeypatch.setenv("CFII_THREADS", "1")
-        serial = optimize_restarts(2, 3, n_restarts=4, steps=60, seed=9)
-        monkeypatch.setenv("CFII_THREADS", "4")
-        threaded = optimize_restarts(2, 3, n_restarts=4, steps=60, seed=9)
-        assert serial.restart_gammas == threaded.restart_gammas
-        assert serial.best_gamma == threaded.best_gamma
-        assert serial.max_evaluated == threaded.max_evaluated
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CFII_THREADS", "zero")
-        with pytest.raises(ValueError):
-            optimize_restarts(2, 3, n_restarts=1, steps=0, seed=0)
-        monkeypatch.setenv("CFII_THREADS", "0")
-        with pytest.raises(ValueError):
-            optimize_restarts(2, 3, n_restarts=1, steps=0, seed=0)
+    def test_deterministic_and_batch_width_invariant(self):
+        alone = optimize_restarts(2, 3, n_restarts=1, steps=60, seed=9)
+        batch = optimize_restarts(2, 3, n_restarts=4, steps=60, seed=9)
+        again = optimize_restarts(2, 3, n_restarts=4, steps=60, seed=9)
+        assert alone.restart_gammas[0] == batch.restart_gammas[0]
+        assert batch.restart_gammas == again.restart_gammas
+        assert batch.best_gamma == again.best_gamma
 
     def test_binary_endpoint_stays_flat(self):
         result = optimize_restarts(2, 2, n_restarts=2, steps=30, seed=3)
         assert result.best_gamma == 0.0
-        assert result.max_evaluated == 0.0
+        assert result.restart_gammas == (0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

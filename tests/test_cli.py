@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cfii.adversary import optimize_restarts
 from cfii.cli import ConfigError, build_config, main
 from cfii.estimate import analytic_certification
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
@@ -266,6 +267,15 @@ class TestCertifyCommand:
         assert run_cli(capsys, ["certify", "--seed", "1",
                                 "--se-mode", "exact"])[0] == 2
         assert run_cli(capsys, ["certify", "--gamma-grid=-0.5:0.5:3"])[0] == 2
+        # zero-length segments and single-shot contexts are bad flags,
+        # not a falsification or a traceback
+        for argv in (["--seed", "1", "--t-total", "0"],
+                     ["--seed", "1", "--shots", "1"],
+                     ["--gamma-grid", "0:0.6:3", "--t-total", "0"]):
+            code, out, err = run_cli(capsys, ["certify", *argv])
+            assert code == 2 and out == ""
+            assert err.startswith("cfii: config error:")
+            assert err.count("\n") == 1
 
 
 class TestAdversaryCommand:
@@ -282,7 +292,8 @@ class TestAdversaryCommand:
         assert float(meta["summary_mean"]) == pytest.approx(gammas.mean(),
                                                             rel=1e-15)
         assert float(meta["summary_min"]) == gammas.min()
-        assert float(meta["max_evaluated"]) >= gammas.max()
+        assert tuple(gammas) == optimize_restarts(
+            2, 3, n_restarts=3, steps=60, seed=4).restart_gammas
 
     def test_binary_endpoint_reports_zero(self, capsys):
         code, out, _ = run_cli(capsys, [

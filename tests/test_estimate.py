@@ -183,6 +183,9 @@ class TestAnalyticCertification:
             analytic_certification(NOISY, T, 1, 100)
         with pytest.raises(ValueError):
             analytic_certification(NOISY, T, 4, 1)
+        for t_total in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                analytic_certification(NOISY, t_total, 4, 100)
 
 
 class TestClassifierScore:
