@@ -35,8 +35,7 @@ from .fim import (FisherMatrix, coarse_grain_fi, effective_fi,
                   synergy_effective_fi, synergy_window)
 from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                      NoisyFringeParams, QubitFringeModel, QubitPreparation,
-                     binary_score, categorical_fi, categorical_product,
-                     noisy_fi, noisy_z, qubit_fi, qubit_z)
+                     categorical_fi, categorical_product)
 from .rng import derive_rng
 from .witness import (WitnessReport, classical_benchmark_path, gain_indicator,
                       gamma_crossing, improvement_factor, k_chain_gain,
@@ -55,8 +54,7 @@ __all__ = [
     # models
     "QubitPreparation", "NoisyFringeParams", "BinaryModel",
     "QubitFringeModel", "NoisyFringeModel", "CategoricalModel",
-    "categorical_fi", "categorical_product", "qubit_z", "qubit_fi",
-    "noisy_z", "noisy_fi", "binary_score",
+    "categorical_fi", "categorical_product",
     # fim
     "FisherMatrix", "effective_fi", "synergy_effective_fi", "synergy_window",
     "equicorrelated_effective_fi", "equicorrelated_matrix", "coarse_grain_fi",

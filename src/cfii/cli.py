@@ -39,7 +39,7 @@ from .estimate import (analytic_certification, certify_vk, mc_rmse,
                        sample_binary)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
-from .witness import gamma_crossing, nsit_separation_demo
+from .witness import gamma_crossing, k_chain_gain, nsit_separation_demo
 
 # Metadata key holding the only non-reproducible field; comparisons between
 # runs must drop it.
@@ -290,30 +290,26 @@ def _split_grid(spec: str, name: str) -> tuple[float, float, int]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {spec!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"{name} endpoints must be finite, got {spec!r}")
     if n < 2:
         raise ConfigError(f"{name} needs at least 2 points, got {n}")
     return a, b, n
 
 
-def _child_seed(seed: int, *path: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _model_from(params: dict) -> BinaryModel:
     kind = params["model"]
-    try:
-        if kind == "ideal":
-            return QubitFringeModel(QubitPreparation(
-                vartheta=params["vartheta"], varphi=params["varphi"]))
-        if kind == "noisy":
-            return NoisyFringeModel(NoisyFringeParams(
-                gamma=params["gamma"], epsilon_r=params["eps_r"],
-                vartheta0=params["vartheta0"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "ideal":
+        return QubitFringeModel(QubitPreparation(
+            vartheta=params["vartheta"], varphi=params["varphi"]))
+    if kind == "noisy":
+        return _noisy(params, params["gamma"])
     raise ConfigError(f"model must be ideal or noisy, got {kind!r}")
+
+
+def _noisy(params: dict, gamma: float) -> NoisyFringeModel:
+    return NoisyFringeModel(NoisyFringeParams(
+        gamma=gamma, epsilon_r=params["eps_r"], vartheta0=params["vartheta0"]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +319,16 @@ def cmd_fi(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
     thetas = _parse_grid(params["grid"], "--grid")
-    if params["model"] == "noisy" and thetas[0] < 0.0:
-        raise ConfigError("noisy fringe grids must start at theta >= 0")
     rows = [(float(t), float(model.z(t)), float(model.fi(t))) for t in thetas]
     return ResultTable(columns=["theta", "z", "fi"], rows=rows)
 
 
 def cmd_landscape(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    try:
-        prep = QubitPreparation(vartheta=params["vartheta"],
-                                varphi=params["varphi"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    model = QubitFringeModel(prep)
+    model = QubitFringeModel(QubitPreparation(vartheta=params["vartheta"],
+                                              varphi=params["varphi"]))
+    if not (params["clip_v"] > 0.0 and params["clip_g"] > 0.0):
+        raise ConfigError("clip-v and clip-g must be > 0")
     t_ac = _parse_grid(params["grid"], "--grid")
     t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb")
 
@@ -359,10 +351,6 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
 
 def cmd_certify(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if params["shots"] < 1:
-        raise ConfigError(f"shots must be >= 1, got {params['shots']}")
-    if params["k"] < 2:
-        raise ConfigError(f"k must be >= 2, got {params['k']}")
     if params["se_mode"] not in ("analytic-moment", "empirical"):
         raise ConfigError(f"se-mode must be analytic-moment or empirical, "
                           f"got {params['se_mode']!r}")
@@ -378,13 +366,11 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
     k = params["k"]
     t_total = params["t_total"]
     n = params["shots"]
-    model = NoisyFringeModel(NoisyFringeParams(
-        gamma=params["gamma"], epsilon_r=params["eps_r"],
-        vartheta0=params["vartheta0"]))
-    # first, so that bad t_total or shots stop the run before any sampling
-    expected = _analytic_certification(model, t_total, k, n)
-    endpoint = sample_binary(model, t_total, n, _child_seed(seed, 0))
-    segments = [sample_binary(model, t_total / k, n, _child_seed(seed, 1 + j))
+    model = _noisy(params, params["gamma"])
+    # first, so that bad t_total, k or shots stop the run before any sampling
+    expected = analytic_certification(model, t_total, k, n)
+    endpoint = sample_binary(model, t_total, n, seed, 0)
+    segments = [sample_binary(model, t_total / k, n, seed, 1 + j)
                 for j in range(k)]
     report = certify_vk(endpoint, segments, model, se_mode=params["se_mode"])
 
@@ -406,29 +392,17 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
     return ResultTable(columns=["quantity", "value"], rows=rows)
 
 
-def _analytic_certification(model, t_total: float, k: int, n: int):
-    # the library rejects t_total <= 0 and n < 2; both are bad flags here
-    try:
-        return analytic_certification(model, t_total, k, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _certify_sweep(params: dict) -> ResultTable:
     gammas = (_parse_grid(params["gamma_grid"], "--gamma-grid")
               if params["gamma_grid"] else np.array([params["gamma"]]))
     shots = (_parse_int_geom_grid(params["shots_grid"], "--shots-grid")
              if params["shots_grid"] else np.array([params["shots"]]))
-    if np.any(gammas < 0.0):
-        raise ConfigError("--gamma-grid must be nonnegative")
     rows = []
     for gamma in gammas:
-        model = NoisyFringeModel(NoisyFringeParams(
-            gamma=float(gamma), epsilon_r=params["eps_r"],
-            vartheta0=params["vartheta0"]))
+        model = _noisy(params, float(gamma))
         for n in shots:
-            rep = _analytic_certification(model, params["t_total"],
-                                          params["k"], int(n))
+            rep = analytic_certification(model, params["t_total"],
+                                         params["k"], int(n))
             rows.append((float(gamma), int(n), rep.v_hat, rep.se, rep.z,
                          int(rep.z >= 3.0), int(rep.z >= 5.0)))
     return ResultTable(
@@ -438,12 +412,6 @@ def _certify_sweep(params: dict) -> ResultTable:
 
 def cmd_adversary(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if params["restarts"] < 1:
-        raise ConfigError("restarts must be >= 1")
-    if params["steps"] < 0:
-        raise ConfigError("steps must be >= 0")
-    if params["l"] < 2 or params["m"] < 2:
-        raise ConfigError("adversary needs --l >= 2 and --m >= 2")
     result = optimize_restarts(params["l"], params["m"],
                                n_restarts=params["restarts"],
                                steps=params["steps"], lr=params["lr"],
@@ -460,8 +428,6 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
 
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if params["reps"] < 1:
-        raise ConfigError(f"reps must be >= 1, got {params['reps']}")
     model = _model_from(params)
     theta = params["theta"]
     f = float(model.fi(theta))
@@ -472,8 +438,8 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
                 else params["vartheta0"])
     rows = []
     for i, n in enumerate(n_values):
-        rmse = mc_rmse(model, theta, int(n), params["reps"],
-                       _child_seed(config.seed, i), vartheta=vartheta)
+        rmse = mc_rmse(model, theta, int(n), params["reps"], config.seed, i,
+                       vartheta=vartheta)
         crb = 1.0 / math.sqrt(n * f)
         rows.append((int(n), rmse, crb, math.sqrt(2.0) * crb))
     return ResultTable(columns=["n", "rmse", "crb", "crb_classical"],
@@ -483,28 +449,18 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
 def cmd_chain(config: ExperimentConfig) -> ResultTable:
     params = config.params
     gammas = _parse_grid(params["gamma_grid"], "--gamma-grid")
-    if np.any(gammas < 0.0):
-        raise ConfigError("--gamma-grid must be nonnegative")
     if params["k_grid"]:
         ks = _parse_int_lin_grid(params["k_grid"], "--k-grid")
     else:
         ks = np.array([params["k"]])
-    if np.any(ks < 2):
-        raise ConfigError("chain needs k >= 2")
     t_total = params["t_total"]
     rows = []
     for k in ks:
         for gamma in gammas:
-            model = NoisyFringeModel(NoisyFringeParams(
-                gamma=float(gamma), epsilon_r=params["eps_r"],
-                vartheta0=params["vartheta0"]))
-            f_end = float(model.fi(t_total))
-            f_seg = float(model.fi(t_total / k))
-            f_benchmark = f_seg / k
-            v_k = 1.0 / f_end - k / f_seg
+            rep = k_chain_gain(_noisy(params, float(gamma)), t_total, int(k))
             approx = k * math.exp(-2.0 * gamma * t_total * (1.0 - 1.0 / k))
-            rows.append((int(k), float(gamma), f_end, f_seg, f_benchmark,
-                         v_k, f_end / f_benchmark, approx))
+            rows.append((int(k), float(gamma), rep.f_end, rep.f_segments[0],
+                         rep.f_benchmark, rep.v, rep.gamma_ratio, approx))
     return ResultTable(
         columns=["k", "gamma", "f_end", "f_segment", "f_benchmark", "v_k",
                  "gamma_k", "gamma_k_midfringe"],
@@ -522,13 +478,10 @@ def cmd_nsit_demo(config: ExperimentConfig) -> ResultTable:
 
 def cmd_crossing(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if params["k"] < 2:
-        raise ConfigError("crossing needs k >= 2")
-    if params["gamma_max"] <= 0.0:
-        raise ConfigError("gamma-max must be > 0")
-    base = NoisyFringeParams(gamma=0.0, epsilon_r=params["eps_r"],
-                             vartheta0=params["vartheta0"])
-    gamma_star = gamma_crossing(base, params["t_total"], params["k"],
+    if not 0.0 < params["gamma_max"] < math.inf:
+        raise ConfigError("gamma-max must be finite and > 0")
+    gamma_star = gamma_crossing(_noisy(params, 0.0).params,
+                                params["t_total"], params["k"],
                                 gamma_range=(0.0, params["gamma_max"]))
     rows = [(params["k"], params["t_total"], params["eps_r"], gamma_star)]
     return ResultTable(columns=["k", "t_total", "eps_r", "gamma_star"],
@@ -549,7 +502,15 @@ _COMMANDS = {
 
 def execute(config: ExperimentConfig) -> ResultTable:
     """Run the configured command and attach the metadata block."""
-    table = _COMMANDS[config.command](config)
+    try:
+        table = _COMMANDS[config.command](config)
+    except CfiiError:
+        raise
+    except ValueError as exc:  # a parameter outside the library's domain
+        raise ConfigError(str(exc)) from exc
+    if any(isinstance(v, float) and math.isnan(v)
+           for row in table.rows for v in row):
+        raise CfiiError("undefined (NaN) result cells")
     echo = dict(sorted(config.params.items()))
     echo["seed"] = config.seed
     meta = {

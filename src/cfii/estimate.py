@@ -86,15 +86,33 @@ class CertificationReport:
     mode: str
 
 
-def sample_binary(model: BinaryModel, theta: float, n: int,
-                  seed: int) -> ContextSample:
-    """Draw n outcomes with P(x=0) = p0(theta) from a seeded stream."""
+def sample_binary(model: BinaryModel, theta: float, n: int, seed: int,
+                  *path: int) -> ContextSample:
+    """Draw n outcomes with P(x=0) = p0(theta) from stream (seed, 1, *path)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p0 = float(model.p0(theta))
-    rng = derive_rng(seed, _TAG_SAMPLE)
+    rng = derive_rng(seed, _TAG_SAMPLE, *path)
     outcomes = (rng.random(n) >= p0).astype(np.int8)
     return ContextSample(theta=float(theta), outcomes=outcomes)
+
+
+def _score_mean(n0, n: int, s0: float, s1: float):
+    """Mean squared score over n0 zeros and n - n0 ones; n0 may be an
+    array of counts."""
+    return (n0 * (s0 * s0) + (n - n0) * (s1 * s1)) / n
+
+
+def _plugin_estimate(n0: int, n: int, s0: float, s1: float) -> FiEstimate:
+    """plugin_fi from n0 zeros among n outcomes with scores s0 and s1."""
+    value = float(_score_mean(n0, n, s0, s1))
+    if n == 1:
+        return FiEstimate(value=value, variance=0.0, n=1, degenerate=True)
+    # two-valued data: sum of squared deviations = n0 n1 (sq0 - sq1)^2 / n,
+    # exactly zero when both outcomes carry the same squared score
+    gap = s0 * s0 - s1 * s1
+    return FiEstimate(value=value, n=n,
+                      variance=n0 * (n - n0) * gap * gap / (n * n * (n - 1)))
 
 
 def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
@@ -104,18 +122,10 @@ def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     A single-shot sample cannot estimate a variance; it reports 0 with the
     degenerate flag set.
     """
-    s0 = float(model.score(0, sample.theta))
-    s1 = float(model.score(1, sample.theta))
-    n1 = int(sample.outcomes.sum())
-    n0 = sample.n - n1
-    sq = np.array([s0 * s0, s1 * s1])
-    counts = np.array([n0, n1], dtype=float)
-    value = float(counts @ sq) / sample.n
-    if sample.n == 1:
-        return FiEstimate(value=value, variance=0.0, n=1, degenerate=True)
-    ss = float(counts @ (sq - value) ** 2)
-    variance = ss / (sample.n - 1) / sample.n
-    return FiEstimate(value=value, variance=variance, n=sample.n)
+    n0 = sample.n - int(sample.outcomes.sum())
+    return _plugin_estimate(n0, sample.n,
+                            float(model.score(0, sample.theta)),
+                            float(model.score(1, sample.theta)))
 
 
 def analytic_mu4(model: BinaryModel, theta: float) -> float:
@@ -164,27 +174,17 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
     if len(models) != len(contexts):
         raise ValueError(f"got {len(models)} models for {len(contexts)} contexts")
 
-    estimates = tuple(plugin_fi(s, m) for s, m in zip(contexts, models))
+    estimates = [plugin_fi(s, m) for s, m in zip(contexts, models)]
     if any(e.value <= 0.0 for e in estimates):
         raise EstimationError("zero plug-in FI estimate; witness undefined")
 
-    v_hat = v_chain(estimates[0].value, [e.value for e in estimates[1:]])
     if se_mode == "empirical":
-        se2 = sum(e.variance / e.value ** 4 for e in estimates)
+        moments = [(e.value, e.variance) for e in estimates]
     else:
-        se2 = 0.0
-        for sample, model in zip(contexts, models):
-            f = float(model.fi(sample.theta))
-            se2 += fi_estimate_variance(model, sample.theta, sample.n) / f ** 4
-    se = math.sqrt(se2)
-    if se > 0.0:
-        z = -v_hat / se
-    else:
-        z = 0.0 if v_hat == 0.0 else math.copysign(math.inf, -v_hat)
-    return CertificationReport(
-        v_hat=v_hat, se=se, z=z,
-        ci95=(v_hat - Z95 * se, v_hat + Z95 * se),
-        estimates=estimates, mode=se_mode)
+        moments = [(float(m.fi(s.theta)),
+                    fi_estimate_variance(m, s.theta, s.n))
+                   for s, m in zip(contexts, models)]
+    return _report(estimates, moments, se_mode)
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -198,24 +198,28 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
         raise ValueError("need n_per_context >= 2")
     if not (math.isfinite(t_total) and t_total > 0.0):
         raise ValueError(f"need a finite t_total > 0, got {t_total}")
-    thetas = [t_total] + [t_total / k] * k
-    estimates = []
-    se2 = 0.0
-    for theta in thetas:
-        f = float(model.fi(theta))
-        var = fi_estimate_variance(model, theta, n_per_context)
-        estimates.append(FiEstimate(value=f, variance=var, n=n_per_context))
-        se2 += var / f ** 4
+    estimates = [FiEstimate(value=float(model.fi(theta)), n=n_per_context,
+                            variance=fi_estimate_variance(model, theta,
+                                                          n_per_context))
+                 for theta in [t_total] + [t_total / k] * k]
+    return _report(estimates, [(e.value, e.variance) for e in estimates],
+                   "analytic-moment")
+
+
+def _report(estimates: Sequence[FiEstimate],
+            moments: Sequence[tuple[float, float]],
+            mode: str) -> CertificationReport:
+    """Witness from the estimates; delta-method SE^2 = sum Var/F^4 over the
+    (F, Var) moments of the same contexts."""
     v = v_chain(estimates[0].value, [e.value for e in estimates[1:]])
-    se = math.sqrt(se2)
+    se = math.sqrt(sum(var / f ** 4 for f, var in moments))
     if se > 0.0:
         z = -v / se
     else:
         z = 0.0 if v == 0.0 else math.copysign(math.inf, -v)
-    return CertificationReport(
-        v_hat=v, se=se, z=z,
-        ci95=(v - Z95 * se, v + Z95 * se),
-        estimates=tuple(estimates), mode="analytic-moment")
+    return CertificationReport(v_hat=v, se=se, z=z,
+                               ci95=(v - Z95 * se, v + Z95 * se),
+                               estimates=tuple(estimates), mode=mode)
 
 
 def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int],
@@ -262,48 +266,41 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
                               (n_train - n1_m, n1_m), delta, alpha)
 
     n1_e = int(rng_e.binomial(n_eval, float(model.p1(theta))))
-    n0_e = n_eval - n1_e
-    sq = np.array([s0 * s0, s1 * s1])
-    counts = np.array([n0_e, n1_e], dtype=float)
-    value = float(counts @ sq) / n_eval
-    if n_eval == 1:
-        return FiEstimate(value=value, variance=0.0, n=1, degenerate=True)
-    ss = float(counts @ (sq - value) ** 2)
-    return FiEstimate(value=value, variance=ss / (n_eval - 1) / n_eval,
-                      n=n_eval)
+    return _plugin_estimate(n_eval - n1_e, n_eval, s0, s1)
 
 
 def mle_theta(p0_hat: float, vartheta: float = 0.0) -> float:
-    """Invert the ideal fringe frequency: theta_hat = vartheta +
-    2 arccos(sqrt(p0_hat)), one-to-one on the branch (vartheta,
-    vartheta + pi).  Frequencies are clamped to [1e-12, 1 - 1e-12]; a
-    frequency pinned at 0 or 1 sits on the branch boundary and triggers a
+    """Invert the ideal fringe p0 = cos^2((theta - vartheta)/2), one-to-one
+    on the branch (vartheta, vartheta + pi).  Frequencies are clamped to
+    [1e-12, 1 - 1e-12]; a frequency of 0 or 1 sits on the branch boundary,
+    where the estimate is pinned to vartheta + pi or vartheta with a
     warning."""
     if not 0.0 <= p0_hat <= 1.0:
         raise ValueError(f"p0_hat must lie in [0, 1], got {p0_hat}")
     if p0_hat <= 0.0 or p0_hat >= 1.0:
         warnings.warn("frequency on the branch boundary; estimate pinned",
                       BranchWarning, stacklevel=2)
-    clamped = min(max(p0_hat, 1e-12), 1.0 - 1e-12)
-    theta_hat = vartheta + 2.0 * math.acos(math.sqrt(clamped))
-    if p0_hat >= 1.0:
-        theta_hat = vartheta
-    elif p0_hat <= 0.0:
-        theta_hat = vartheta + math.pi
-    return theta_hat
+    return float(_mle_theta(p0_hat, vartheta))
+
+
+def _mle_theta(p0_hat, vartheta: float):
+    """Array core of mle_theta: clamp, invert, and pin the branch ends."""
+    clamped = np.clip(p0_hat, 1e-12, 1.0 - 1e-12)
+    theta_hat = vartheta + 2.0 * np.arccos(np.sqrt(clamped))
+    return np.where(p0_hat >= 1.0, vartheta,
+                    np.where(p0_hat <= 0.0, vartheta + math.pi, theta_hat))
 
 
 def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
-            seed: int, vartheta: float = 0.0) -> float:
+            seed: int, *path: int, vartheta: float = 0.0) -> float:
     """Root-mean-square error of the fringe MLE over seeded replications of
-    an n-shot experiment at theta_true."""
+    an n-shot experiment at theta_true, drawn from the stream
+    (seed, 3, *path)."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     p0 = float(model.p0(theta_true))
-    rng = derive_rng(seed, _TAG_RMSE)
-    n0 = rng.binomial(n, p0, size=reps)
-    p0_hat = np.clip(n0 / n, 1e-12, 1.0 - 1e-12)
-    theta_hat = vartheta + 2.0 * np.arccos(np.sqrt(p0_hat))
+    rng = derive_rng(seed, _TAG_RMSE, *path)
+    theta_hat = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta)
     return float(np.sqrt(np.mean((theta_hat - theta_true) ** 2)))
 
 
@@ -323,12 +320,10 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     model = NoisyFringeModel(params)
 
     def fhat(theta: float, stream: int, size) -> np.ndarray:
-        p0 = float(model.p0(theta))
-        s0 = float(model.score(0, theta))
-        s1 = float(model.score(1, theta))
         rng = derive_rng(seed, _TAG_VK, stream)
-        n0 = rng.binomial(n_per_context, p0, size=size)
-        return (n0 * s0 * s0 + (n_per_context - n0) * s1 * s1) / n_per_context
+        n0 = rng.binomial(n_per_context, float(model.p0(theta)), size=size)
+        return _score_mean(n0, n_per_context, float(model.score(0, theta)),
+                           float(model.score(1, theta)))
 
     f_end = fhat(t_total, 0, reps)
     f_seg = np.column_stack(

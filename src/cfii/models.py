@@ -61,8 +61,10 @@ class NoisyFringeParams:
     vartheta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not math.isfinite(self.vartheta0):
+            raise ValueError(f"vartheta0 must be finite, got {self.vartheta0}")
         if not 0.0 <= self.epsilon_r < 0.5:
             raise ValueError(f"epsilon_r must lie in [0, 1/2), got {self.epsilon_r}")
 
@@ -96,16 +98,12 @@ class BinaryModel(ABC):
         """Per-outcome score d ln p_x / d theta."""
         if x not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {x}")
-        z = self.z(theta)
-        zd = self.zdot(theta)
-        if x == 0:
-            denom = 1.0 + z
-        else:
-            denom = 1.0 - z
+        sign = 1.0 if x == 0 else -1.0
+        denom = 1.0 + sign * self.z(theta)
         if np.any(denom <= 0.0):
             raise DegenerateModelError(
                 f"outcome {x} has zero probability; score undefined")
-        return zd / denom if x == 0 else -zd / denom
+        return sign * self.zdot(theta) / denom
 
     def fi(self, theta):
         """Fisher information zdot^2 / (1 - z^2), with the continuous
@@ -232,23 +230,3 @@ def categorical_product(m1: CategoricalModel, m2: CategoricalModel) -> Categoric
     p = np.outer(m1.p, m2.p).ravel()
     pdot = (np.outer(m1.pdot, m2.p) + np.outer(m1.p, m2.pdot)).ravel()
     return CategoricalModel(p, pdot)
-
-
-def qubit_z(theta, prep: QubitPreparation):
-    return QubitFringeModel(prep).z(theta)
-
-
-def qubit_fi(theta, prep: QubitPreparation):
-    return QubitFringeModel(prep).fi(theta)
-
-
-def noisy_z(theta, params: NoisyFringeParams):
-    return NoisyFringeModel(params).z(theta)
-
-
-def noisy_fi(theta, params: NoisyFringeParams):
-    return NoisyFringeModel(params).fi(theta)
-
-
-def binary_score(x: int, theta, model: BinaryModel):
-    return model.score(x, theta)

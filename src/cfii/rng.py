@@ -6,11 +6,14 @@ or optimizer restart gets its own independent stream.  Results are therefore
 identical whether tasks run serially or in parallel, and repeated runs with
 the same seed are bit-identical.
 
-Path conventions used inside the package (first path element):
+Path conventions used inside the package (first path element, then the
+sub-path a caller passes on):
 
-    1  binary-outcome sampling
+    1  binary-outcome sampling; `cfii certify` uses (1, j) for context j
+       (0 the endpoint, 1..k the segments)
     2  classifier training/evaluation draws
-    3  maximum-likelihood RMSE replications
+    3  maximum-likelihood RMSE replications; `cfii rmse` uses (3, i) for
+       grid point i
     4  witness Monte Carlo contexts
     5  adversary restarts
 """

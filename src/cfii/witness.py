@@ -28,8 +28,9 @@ from scipy import optimize
 
 from .errors import (DegenerateBenchmarkError, NoCrossingError,
                      NonPositiveFiError, OptimizationError)
-from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
-                     QubitFringeModel, QubitPreparation)
+from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
+                     NoisyFringeParams, QubitFringeModel, QubitPreparation,
+                     categorical_product)
 
 # Segment FIs below this are treated as dead when maximizing over splits.
 SPLIT_FI_FLOOR = 1e-12
@@ -196,7 +197,9 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
 
     def excess(gamma: float) -> float:
         m = family(gamma)
-        return float(m.fi(t_total)) * k / float(m.fi(t_total / k)) - 1.0
+        f_segment = float(m.fi(t_total / k))
+        _require_positive(f_segment=f_segment)
+        return float(m.fi(t_total)) * k / f_segment - 1.0
 
     lo, hi = gamma_range
     grid = np.linspace(lo, hi, 64)
@@ -217,20 +220,22 @@ def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
     every path witness maximally.
 
     Builds the family p0(theta) = cos^2(theta/2) and a second measurement
-    context in which an outcome-blind coin is tossed first and then
-    marginalized out, so both contexts share identical marginals by
-    construction.  Checks marginal equality on a theta grid, that the
-    family's FI is 1 everywhere, and that V = -1 for every nontrivial
-    split.  Returns (nsit_holds, witness value).
+    context in which an outcome-blind coin a is tossed first: the joint
+    distribution of (a, b) is the product of a fair, parameter-independent
+    coin with the fringe, and a channel (a, b) -> b then marginalizes a out.
+    Checks on a theta grid that the two contexts give the same marginal of
+    b (`nsit_holds`), that the family's FI is 1 everywhere, and that V = -1
+    for every nontrivial split.  Returns (nsit_holds, witness value).
     """
     model = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_points)
 
-    p_direct = model.p0(thetas)
-    # Context with an interposed blind measurement: joint over (a, b) with a
-    # fair parameter-independent coin, marginalized over a.
-    p_joint = 0.5 * model.p0(thetas) + 0.5 * model.p0(thetas)
-    nsit_holds = bool(np.max(np.abs(p_joint - p_direct)) < 1e-14)
+    coin = CategoricalModel(np.array([0.5, 0.5]), np.zeros(2))
+    forget_a = np.tile(np.eye(2), (2, 1))
+    p_blind = np.array([
+        (forget_a.T @ categorical_product(coin, model.as_categorical(t)).p)[0]
+        for t in thetas])
+    nsit_holds = _nsit_holds(model.p0(thetas), p_blind)
 
     fi = model.fi(thetas)
     nsit_holds = nsit_holds and bool(np.max(np.abs(fi - 1.0)) < 1e-10)
@@ -246,6 +251,12 @@ def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
     nsit_holds = nsit_holds and bool(
         np.max(np.abs(np.asarray(witnesses) + 1.0)) < 1e-10)
     return nsit_holds, v
+
+
+def _nsit_holds(p_direct, p_context) -> bool:
+    """No-signaling-in-time: the final outcome probabilities with and
+    without the interposed measurement agree to 1e-14 at every angle."""
+    return bool(np.max(np.abs(np.asarray(p_context) - p_direct)) < 1e-14)
 
 
 def _require_positive(**named: float) -> None:

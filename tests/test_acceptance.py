@@ -24,7 +24,8 @@ from cfii.fim import (coarse_grain_fi, effective_fi,
                       synergy_effective_fi, synergy_window)
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
-                         QubitPreparation, categorical_fi)
+                         QubitPreparation, categorical_fi,
+                         categorical_product)
 from cfii.witness import (gamma_crossing, improvement_factor, k_chain_gain,
                           nsit_separation_demo, v_chain, v_path)
 
@@ -266,11 +267,14 @@ def test_nsit_separation():
         assert nsit_holds is True
         assert v == pytest.approx(-1.0, abs=1e-12)
 
+        # the blind-coin context, built as its own joint distribution and
+        # summed over the coin, leaves the fringe unchanged
         model = QubitFringeModel(EQUATOR)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 1000)
-        p_direct = model.p0(thetas)
-        p_marginalized = 0.5 * model.p0(thetas) + 0.5 * model.p0(thetas)
-        assert np.max(np.abs(p_marginalized - p_direct)) < 1e-14
+        coin = CategoricalModel(np.array([0.5, 0.5]), np.zeros(2))
+        for theta in np.linspace(0.0, 2.0 * math.pi, 50):
+            joint = categorical_product(coin, model.as_categorical(theta))
+            p_marginalized = joint.p.reshape(2, 2).sum(axis=0)[0]
+            assert abs(p_marginalized - model.p0(theta)) < 1e-14
 
 
 def test_seeded_determinism(capsys):

@@ -1,14 +1,18 @@
 """End-to-end tests for the cfii command-line driver."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfii.adversary import optimize_restarts
-from cfii.cli import ConfigError, build_config, main
-from cfii.estimate import analytic_certification
+from cfii.cli import _SPECS, ConfigError, build_config, main
+from cfii.estimate import analytic_certification, plugin_fi, sample_binary
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 
@@ -162,7 +166,7 @@ class TestFiCommand:
         assert "ideal or noisy" in err
 
     def test_malformed_grid(self, capsys):
-        for bad in ("1:2", "a:b:c", "0:1:1"):
+        for bad in ("1:2", "a:b:c", "0:1:1", "0:inf:3"):
             code, _, err = run_cli(capsys, ["fi", "--grid", bad])
             assert code == 2
 
@@ -206,6 +210,17 @@ class TestLandscapeCommand:
     def test_tiny_grid_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["landscape", "--grid", "0.1:2.0:1"])
         assert code == 2
+        code, _, _ = run_cli(capsys, ["landscape", "--grid", "nan:1:3"])
+        assert code == 2
+
+    def test_undefined_cells(self, capsys):
+        assert run_cli(capsys, ["landscape", "--clip-v", "0"])[0] == 2
+        # zero FI at theta = 0 makes V = inf - inf in the first cell
+        code, out, err = run_cli(capsys, [
+            "landscape", "--vartheta", "0.5", "--varphi", "0",
+            "--grid", "0:1:2"])
+        assert code == 3 and out == ""
+        assert "NaN" in err
 
 
 class TestCertifyCommand:
@@ -233,6 +248,20 @@ class TestCertifyCommand:
                                                     rel=1e-14)
         assert table["se_analytic"] == pytest.approx(expected.se, rel=1e-14)
         assert table["z_analytic"] == pytest.approx(expected.z, rel=1e-14)
+
+    def test_point_draws_the_library_streams(self, capsys):
+        # context j of a seeded run is sample_binary(..., seed, j)
+        code, out, _ = run_cli(capsys, [
+            "certify", "--seed", "5", "--shots", "300", "--t-total", "1.0",
+            "--k", "2"])
+        assert code == 0
+        table = {row[0]: float(row[1]) for row in parse_csv(out)[2]}
+        model = NoisyFringeModel(GOLDEN)
+        for j, (name, theta) in enumerate([("fi_hat_end", 1.0),
+                                           ("fi_hat_seg_1", 0.5),
+                                           ("fi_hat_seg_2", 0.5)]):
+            sample = sample_binary(model, theta, 300, 5, j)
+            assert table[name] == plugin_fi(sample, model).value
 
     def test_sweep_reference_row(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -425,6 +454,63 @@ class TestCrossingCommand:
     def test_validation(self, capsys):
         assert run_cli(capsys, ["crossing", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["crossing", "--gamma-max", "0"])[0] == 2
+
+
+_ODD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "0.7",
+                        "1e-300", "1e300"])
+_FLOATS = _ODD | st.floats(-7.0, 7.0).map(repr)
+_GRIDS = st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, st.integers(0, 4))
+# a small adversary budget; zero and negative values stay in the draw
+_BUDGET = ("restarts", "steps")
+
+
+def _flag_values(key, typ):
+    if key.endswith("grid") or key == "grid_cb":
+        return _GRIDS
+    if key == "model":
+        return st.sampled_from(["ideal", "noisy", "exact"])
+    if key == "se_mode":
+        return st.sampled_from(["empirical", "analytic-moment", "exact"])
+    return st.integers(-2, 5).map(str) if typ is int else _FLOATS
+
+
+def _argv(command):
+    spec = _SPECS[command]
+    required = {key: st.integers(-1, 3).map(str)
+                for key in _BUDGET if key in spec}
+    optional = {key: _flag_values(key, typ)
+                for key, (typ, _) in spec.items() if key not in required}
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [command, "--seed", "1"] + [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in flags.items()])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from(sorted(_SPECS)).flatmap(_argv))
+@example(argv=["certify", "--seed", "1", "--gamma", "-1"])
+@example(argv=["crossing", "--eps-r", "0.7"])
+@example(argv=["chain", "--t-total=-1"])
+@example(argv=["rmse", "--seed", "1", "--model", "noisy", "--theta=-1"])
+@example(argv=["chain", "--gamma-grid", "0:1e300:3"])
+@example(argv=["landscape", "--grid", "nan:1:3"])
+@example(argv=["fi", "--grid", "0:inf:3"])
+@example(argv=["crossing", "--t-total", "1e-300"])
+@example(argv=["adversary", "--seed", "1", "--restarts", "2", "--steps", "3",
+               "--lr", "1e300"])
+def test_fuzzed_flags_exit_cleanly(argv):
+    """Any flag values end in exit 0 with finite cells, or in exit 2/3
+    with a single stderr line; no exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        _, _, rows = parse_csv(out.getvalue())
+        assert not any(cell == "nan" for row in rows for cell in row)
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
 class TestOutputPlumbing:

@@ -60,6 +60,11 @@ class TestPluginFi:
         est = plugin_fi(sample, IDEAL)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-15)
+        # at the noisy node the two squared scores are bit-identical, so the
+        # variance is exactly zero, not a rounding residue of the mean
+        assert float(NOISY.score(0, T)) ** 2 == float(NOISY.score(1, T)) ** 2
+        sample = sample_binary(NOISY, T, 1000, seed=7)
+        assert plugin_fi(sample, NOISY).variance == 0.0
 
     def test_single_shot_is_degenerate(self):
         sample = ContextSample(theta=0.9, outcomes=np.array([1]))
@@ -281,6 +286,11 @@ class TestMonteCarlo:
     def test_rmse_deterministic(self):
         assert mc_rmse(IDEAL, T, 100, 50, seed=3) == mc_rmse(
             IDEAL, T, 100, 50, seed=3)
+
+    def test_rmse_saturated_frequencies_are_pinned(self):
+        # p0 = 1 at theta = 0: every replication sees n zeros, and the
+        # pinned branch end gives the exact estimate, not the clamp's 2e-6
+        assert mc_rmse(IDEAL, 0.0, 100, 10, seed=0) == 0.0
 
     def test_rmse_validation(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from cfii.errors import DegenerateModelError
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
-                         QubitPreparation, binary_score, categorical_fi,
-                         categorical_product, noisy_fi, noisy_z, qubit_fi,
-                         qubit_z)
+                         QubitPreparation, categorical_fi,
+                         categorical_product)
 
 IDEAL = QubitPreparation(vartheta=0.0, varphi=math.pi / 2)
 TILTED = QubitPreparation(vartheta=0.7 * math.pi, varphi=0.3 * math.pi)
@@ -32,37 +31,39 @@ def fd_log_likelihood_fi(model, theta, h=1e-6):
 
 class TestQubitFringe:
     def test_initial_alignment(self):
-        assert qubit_z(0.0, IDEAL) == pytest.approx(1.0, abs=1e-15)
+        assert QubitFringeModel(IDEAL).z(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_reduces_to_shifted_cosine_at_equator(self):
         prep = QubitPreparation(vartheta=0.4, varphi=math.pi / 2)
         thetas = np.linspace(-3.0, 7.0, 41)
-        np.testing.assert_allclose(qubit_z(thetas, prep),
+        np.testing.assert_allclose(QubitFringeModel(prep).z(thetas),
                                    np.cos(thetas - 0.4), atol=1e-14)
 
     def test_tilted_value_frozen(self):
         # direct trigonometric evaluation of
         # cos(0.7 pi) cos(1) + sin(0.7 pi) sin(0.3 pi) sin(1)
-        assert qubit_z(1.0, TILTED) == pytest.approx(
+        assert QubitFringeModel(TILTED).z(1.0) == pytest.approx(
             0.23316818252457044, abs=1e-15)
 
     def test_tilted_fi_frozen_and_fd_oracle(self):
         model = QubitFringeModel(TILTED)
-        assert qubit_fi(1.0, TILTED) == pytest.approx(
+        assert QubitFringeModel(TILTED).fi(1.0) == pytest.approx(
             0.7608721139502456, abs=1e-14)
-        assert qubit_fi(1.0, TILTED) == pytest.approx(
+        assert QubitFringeModel(TILTED).fi(1.0) == pytest.approx(
             fd_log_likelihood_fi(model, 1.0), rel=1e-8)
 
     def test_constant_fi_at_equator(self):
         thetas = np.linspace(0.001, 2 * math.pi, 997)
-        np.testing.assert_allclose(qubit_fi(thetas, IDEAL), 1.0, atol=1e-10)
+        np.testing.assert_allclose(QubitFringeModel(IDEAL).fi(thetas), 1.0,
+                                   atol=1e-10)
 
     def test_removable_singularity_keeps_fi_one(self):
         # z = 1 exactly at theta = vartheta; the continuous extension applies
         prep = QubitPreparation(vartheta=0.3, varphi=math.pi / 2)
-        assert qubit_fi(0.3, prep) == pytest.approx(1.0, abs=1e-12)
+        assert QubitFringeModel(prep).fi(0.3) == pytest.approx(1.0, abs=1e-12)
         grid = np.array([0.3 - 1e-9, 0.3, 0.3 + 1e-9])
-        np.testing.assert_allclose(qubit_fi(grid, prep), 1.0, atol=1e-10)
+        np.testing.assert_allclose(QubitFringeModel(prep).fi(grid), 1.0,
+                                   atol=1e-10)
 
     def test_preparation_validation(self):
         with pytest.raises(ValueError):
@@ -73,23 +74,25 @@ class TestQubitFringe:
 
 class TestNoisyFringe:
     def test_node_of_the_fringe(self):
-        assert noisy_z(math.pi / 2, GOLDEN) == pytest.approx(0.0, abs=1e-15)
+        assert NoisyFringeModel(GOLDEN).z(math.pi / 2) == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_ideal_limit(self):
         clean = NoisyFringeParams(gamma=0.0, epsilon_r=0.0, vartheta0=0.0)
-        assert noisy_z(0.0, clean) == pytest.approx(1.0, abs=1e-15)
+        assert NoisyFringeModel(clean).z(0.0) == pytest.approx(1.0, abs=1e-15)
         thetas = np.linspace(0.01, 3.0, 50)
-        np.testing.assert_allclose(noisy_fi(thetas, clean), 1.0, atol=1e-12)
+        np.testing.assert_allclose(NoisyFringeModel(clean).fi(thetas), 1.0,
+                                   atol=1e-12)
 
     def test_damped_value_frozen(self):
         # 0.96 exp(-0.25 pi/8) cos(pi/8)
-        assert noisy_z(math.pi / 8, GOLDEN) == pytest.approx(
+        assert NoisyFringeModel(GOLDEN).z(math.pi / 8) == pytest.approx(
             0.8039884650529762, abs=1e-15)
 
     def test_golden_fi_values(self):
-        assert noisy_fi(math.pi / 2, GOLDEN) == pytest.approx(
+        assert NoisyFringeModel(GOLDEN).fi(math.pi / 2) == pytest.approx(
             0.4201925785491422, abs=1e-15)
-        assert noisy_fi(math.pi / 8, GOLDEN) == pytest.approx(
+        assert NoisyFringeModel(GOLDEN).fi(math.pi / 8) == pytest.approx(
             0.8064913766408359, abs=1e-15)
 
     def test_fd_oracle_on_a_grid(self):
@@ -116,10 +119,8 @@ class TestNoisyFringe:
 class TestScores:
     def test_mid_fringe_symmetry(self):
         model = QubitFringeModel(IDEAL)
-        assert binary_score(0, math.pi / 2, model) == pytest.approx(-1.0,
-                                                                    abs=1e-12)
-        assert binary_score(1, math.pi / 2, model) == pytest.approx(1.0,
-                                                                    abs=1e-12)
+        assert model.score(0, math.pi / 2) == pytest.approx(-1.0, abs=1e-12)
+        assert model.score(1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_score_fd_oracle(self):
         model = NoisyFringeModel(GOLDEN)
@@ -127,8 +128,8 @@ class TestScores:
         theta = math.pi / 8
         fd = (math.log(float(model.p0(theta + h)))
               - math.log(float(model.p0(theta - h)))) / (2 * h)
-        assert binary_score(0, theta, model) == pytest.approx(fd, rel=1e-6)
-        assert binary_score(0, theta, model) == pytest.approx(
+        assert model.score(0, theta) == pytest.approx(fd, rel=1e-6)
+        assert model.score(0, theta) == pytest.approx(
             -0.2960218719935285, abs=1e-14)
 
     def test_degenerate_probability_raises(self):

@@ -13,6 +13,7 @@ from cfii.witness import (classical_benchmark_path, gain_indicator,
                           gamma_crossing, improvement_factor, k_chain_gain,
                           nsit_separation_demo, split_optimized_benchmark,
                           v_chain, v_path)
+from cfii.witness import _nsit_holds
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 T = math.pi / 2
@@ -197,3 +198,12 @@ class TestNsitSeparationDemo:
         nsit_holds, v = nsit_separation_demo(grid_points=100)
         assert nsit_holds is True
         assert v == pytest.approx(-1.0, abs=1e-12)
+
+    def test_invasive_measurement_breaks_nsit(self):
+        # a projective sigma_z readout at theta/2 collapses the state, so
+        # the final p0 becomes cos^4(theta/4) + sin^4(theta/4) (Kofler and
+        # Brukner, PRA 87, 052115): the comparison must reject it
+        thetas = np.linspace(0.0, 2.0 * math.pi, 1000)
+        p_invasive = np.cos(thetas / 4) ** 4 + np.sin(thetas / 4) ** 4
+        assert _nsit_holds(IDEAL_MODEL.p0(thetas), IDEAL_MODEL.p0(thetas))
+        assert not _nsit_holds(IDEAL_MODEL.p0(thetas), p_invasive)
