@@ -18,6 +18,15 @@ The package is organised around one pipeline:
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS starts its worker threads when numpy is imported, and each spins
+# for about 0.1 CPU-s waiting for work before it sleeps.  cfii's matrices are
+# too small to be split across threads, so in a short process (one CLI call)
+# that spin only competes with the main thread for a CPU.  Letting the
+# workers sleep at once keeps the pool, and the caller's own setting wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .adversary import (AdversaryEval, AdversaryParams, OptimizeResult,
                         endpoint_fim, eval_kernels, evaluate, gamma_adv,
                         gamma_adv_gradient, module_fis, optimize_restarts)

@@ -283,6 +283,8 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
         raise ValueError("adversary search needs l >= 2 and m >= 2")
     if n_restarts < 1 or steps < 0:
         raise ValueError("need n_restarts >= 1 and steps >= 0")
+    if not (np.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"need a finite lr > 0, got {lr}")
 
     n_par = 2 * l + 2 * l * m
     rngs = [derive_rng(seed, _TAG_RESTART, r) for r in range(n_restarts)]

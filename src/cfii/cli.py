@@ -271,15 +271,24 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
 
 
 def _parse_int_geom_grid(spec: str, name: str) -> np.ndarray:
-    a, b, n = _split_grid(spec, name)
+    a, b, n = _split_int_grid(spec, name)
     if a < 1 or b < a:
         raise ConfigError(f"{name} needs 1 <= A <= B")
-    return np.unique(np.rint(np.geomspace(a, b, n)).astype(int))
+    return np.unique(np.rint(np.geomspace(a, b, n)).astype(np.int64))
 
 
 def _parse_int_lin_grid(spec: str, name: str) -> np.ndarray:
+    a, b, n = _split_int_grid(spec, name)
+    return np.unique(np.rint(np.linspace(a, b, n)).astype(np.int64))
+
+
+def _split_int_grid(spec: str, name: str) -> tuple[float, float, int]:
+    """Grid endpoints that fit in int64, so that every rounded point does."""
     a, b, n = _split_grid(spec, name)
-    return np.unique(np.rint(np.linspace(a, b, n)).astype(int))
+    if not all(-2.0 ** 63 <= x < 2.0 ** 63 for x in (a, b)):
+        raise ConfigError(
+            f"{name} endpoints must fit in a 64-bit integer, got {spec!r}")
+    return a, b, n
 
 
 def _split_grid(spec: str, name: str) -> tuple[float, float, int]:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (DegenerateBenchmarkError, NoCrossingError,
                      NonPositiveFiError, OptimizationError)
@@ -98,42 +97,39 @@ def split_optimized_benchmark(model: BinaryModel,
                               theta_total: float) -> tuple[float, float]:
     """Maximize the harmonic benchmark over the split point.
 
-    Scans a 512-point coarse grid of split fractions, refines the best
-    bracket to 1e-8 interval width, and breaks near-flat ties (within a
+    Evaluates the benchmark on a 512-point midpoint grid of split fractions,
+    then zooms 65-point grids into the bracket around the best point until
+    the bracket is at most 1e-8 wide, and breaks near-flat ties (within a
     relative 1e-9, absorbing FI roundoff near fringe extremes) toward the
     symmetric split lambda = 0.5.  Returns (benchmark FI, lambda_star).
     """
-    if theta_total <= 0.0:
-        raise ValueError(f"theta_total must be > 0, got {theta_total}")
+    _require_total("theta_total", theta_total)
 
-    def benchmark(lam: float) -> float:
-        f1 = float(model.fi(lam * theta_total))
-        f2 = float(model.fi((1.0 - lam) * theta_total))
-        if f1 < SPLIT_FI_FLOOR or f2 < SPLIT_FI_FLOOR:
-            return 0.0
-        return 1.0 / (1.0 / f1 + 1.0 / f2)
+    def benchmark(lam):
+        f = np.stack([model.fi(lam * theta_total),
+                      model.fi((1.0 - lam) * theta_total)])
+        harmonic = 1.0 / np.sum(1.0 / np.maximum(f, SPLIT_FI_FLOOR), axis=0)
+        return np.where(f.min(axis=0) < SPLIT_FI_FLOOR, 0.0, harmonic)
 
     grid = (np.arange(512) + 0.5) / 512.0
-    values = np.array([benchmark(lam) for lam in grid])
-    best = int(np.argmax(values))
-    if values[best] <= 0.0:
+    values = benchmark(grid)
+    if np.max(values) <= 0.0:
         raise OptimizationError(
             "segment FI vanishes for every scanned split; no benchmark exists")
-
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, 511)]
-    res = optimize.minimize_scalar(lambda lam: -benchmark(lam),
-                                   bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-9})
-    lam_star = float(res.x)
-    f_star = benchmark(lam_star)
-    if values[best] > f_star:
-        lam_star, f_star = float(grid[best]), float(values[best])
+    while True:
+        best = int(np.argmax(values))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if hi - lo <= 1e-8:
+            break
+        grid = np.linspace(lo, hi, 65)
+        values = benchmark(grid)
+    lam_star, f_star = float(grid[best]), float(values[best])
     # Flat objective (constant-FI model): prefer the symmetric split.  The
     # 1e-9 band absorbs the 1 - z^2 cancellation noise of near-extremal
     # fringe points, which would otherwise win the argmax by ~1e-11.
-    if abs(benchmark(0.5) - f_star) <= 1e-9 * max(1.0, abs(f_star)):
-        lam_star, f_star = 0.5, benchmark(0.5)
+    f_half = float(benchmark(0.5))
+    if abs(f_half - f_star) <= 1e-9 * max(1.0, abs(f_star)):
+        lam_star, f_star = 0.5, f_half
     return f_star, lam_star
 
 
@@ -148,8 +144,7 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     """
     if k < 2:
         raise ValueError(f"chain needs k >= 2 segments, got {k}")
-    if theta_total <= 0.0:
-        raise ValueError(f"theta_total must be > 0, got {theta_total}")
+    _require_total("theta_total", theta_total)
 
     if partition == "equal":
         segments = tuple(theta_total / k for _ in range(k))
@@ -177,26 +172,21 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
 
 
 def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
-                   gamma_range: tuple[float, float] = (0.0, 2.0),
-                   family: Callable[[float], BinaryModel] | None = None) -> float:
+                   gamma_range: tuple[float, float] = (0.0, 2.0)) -> float:
     """Dephasing rate gamma_star at which the chain gain Gamma_K(gamma)
-    crosses 1.
+    crosses 1, for the noisy fringe with `base`'s eps_r and vartheta0.
 
-    Scans 64 bracketing points over gamma_range, then solves
-    Gamma_K(gamma) = 1 inside the first sign-change bracket to better than
-    1e-6 in gamma.  `family` may override how a model is built from gamma
-    (defaults to the noisy fringe with `base`'s eps_r and vartheta0).
+    Scans 64 bracketing points over gamma_range, then bisects the first
+    sign-change bracket [a, b], keeping Gamma_K(a) > 1 >= Gamma_K(b), until
+    it is at most 1e-8 wide; returns its midpoint.
     """
     if k < 2:
         raise ValueError(f"chain needs k >= 2 segments, got {k}")
-    if family is None:
-        def family(gamma: float) -> BinaryModel:
-            return NoisyFringeModel(NoisyFringeParams(
-                gamma=gamma, epsilon_r=base.epsilon_r,
-                vartheta0=base.vartheta0))
+    _require_total("t_total", t_total)
 
     def excess(gamma: float) -> float:
-        m = family(gamma)
+        m = NoisyFringeModel(NoisyFringeParams(
+            gamma=gamma, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
         f_segment = float(m.fi(t_total / k))
         _require_positive(f_segment=f_segment)
         return float(m.fi(t_total)) * k / f_segment - 1.0
@@ -212,7 +202,11 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
         raise NoCrossingError(
             f"Gamma_K stays above 1 on [{lo}, {hi}]; no crossing")
     i = int(sign_change[0])
-    return float(optimize.brentq(excess, grid[i], grid[i + 1], xtol=1e-8))
+    a, b = float(grid[i]), float(grid[i + 1])
+    while b - a > 1e-8:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
+    return 0.5 * (a + b)
 
 
 def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
@@ -257,6 +251,11 @@ def _nsit_holds(p_direct, p_context) -> bool:
     """No-signaling-in-time: the final outcome probabilities with and
     without the interposed measurement agree to 1e-14 at every angle."""
     return bool(np.max(np.abs(np.asarray(p_context) - p_direct)) < 1e-14)
+
+
+def _require_total(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"need a finite {name} > 0, got {value}")
 
 
 def _require_positive(**named: float) -> None:

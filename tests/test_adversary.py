@@ -354,3 +354,6 @@ class TestOptimizeRestarts:
             optimize_restarts(3, 3, n_restarts=0, steps=1, seed=0)
         with pytest.raises(ValueError):
             optimize_restarts(3, 3, n_restarts=1, steps=-1, seed=0)
+        for lr in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                optimize_restarts(3, 3, n_restarts=1, steps=1, lr=lr, seed=0)

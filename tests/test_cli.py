@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,12 @@ class TestFiCommand:
         for bad in ("1:2", "a:b:c", "0:1:1", "0:inf:3"):
             code, _, err = run_cli(capsys, ["fi", "--grid", bad])
             assert code == 2
+        # integer grids: an endpoint beyond int64 is rejected before the cast
+        for argv in (["rmse", "--seed", "1", "--n-grid", "1:1e300:3"],
+                     ["chain", "--k-grid", "2:1e300:3"]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert "64-bit integer" in err and err.count("\n") == 1
 
 
 class TestLandscapeCommand:
@@ -342,6 +352,11 @@ class TestAdversaryCommand:
                                 "--l", "1"])[0] == 2
         assert run_cli(capsys, ["adversary", "--seed", "1",
                                 "--m", "1"])[0] == 2
+        for lr in ("nan", "inf", "0", "-1"):
+            code, out, err = run_cli(capsys, [
+                "adversary", "--seed", "1", "--l", "3", "--m", "3",
+                "--restarts", "2", "--steps", "5", "--lr", lr])
+            assert (code, out) == (2, "") and err.count("\n") == 1
 
 
 class TestRmseCommand:
@@ -424,6 +439,9 @@ class TestChainCommand:
     def test_validation(self, capsys):
         assert run_cli(capsys, ["chain", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["chain", "--gamma-grid=-0.1:0.5:3"])[0] == 2
+        for total in ("nan", "inf"):
+            code, out, err = run_cli(capsys, ["chain", "--t-total", total])
+            assert (code, out) == (2, "") and err.count("\n") == 1
 
 
 class TestNsitDemoCommand:
@@ -454,6 +472,9 @@ class TestCrossingCommand:
     def test_validation(self, capsys):
         assert run_cli(capsys, ["crossing", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["crossing", "--gamma-max", "0"])[0] == 2
+        for total in ("nan", "inf"):
+            code, out, err = run_cli(capsys, ["crossing", "--t-total", total])
+            assert (code, out) == (2, "") and err.count("\n") == 1
 
 
 _ODD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "0.7",
@@ -586,3 +607,31 @@ class TestOutputPlumbing:
         config = json.loads(meta["config"])
         assert config["seed"] == 5
         assert config["reps"] == 20
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI in a fresh
+    interpreter loads no scipy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, cfii.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("30", "30")])
+def test_import_lets_openblas_workers_sleep(preset, expected):
+    """Importing cfii in a fresh interpreter sets OPENBLAS_THREAD_TIMEOUT
+    before numpy loads, unless the caller has set it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    code = ("import os, sys; early = 'numpy' in sys.modules; import cfii; "
+            "print(os.environ['OPENBLAS_THREAD_TIMEOUT'], early)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == [expected, "False"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from cfii.errors import (DegenerateBenchmarkError, NoCrossingError,
                          NonPositiveFiError)
@@ -110,8 +111,13 @@ class TestSplitOptimizedBenchmark:
         assert abs(lam - 0.5) > 0.1
 
     def test_invalid_total(self):
-        with pytest.raises(ValueError):
-            split_optimized_benchmark(IDEAL_MODEL, 0.0)
+        for total in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                split_optimized_benchmark(IDEAL_MODEL, total)
+            with pytest.raises(ValueError):
+                k_chain_gain(IDEAL_MODEL, total, 2)
+            with pytest.raises(ValueError):
+                gamma_crossing(GOLDEN, total, 4)
 
 
 class TestKChainGain:
@@ -165,23 +171,28 @@ class TestGammaCrossing:
         gamma_star = gamma_crossing(base, T, 4)
         assert gamma_star == pytest.approx(0.44252088963544078, abs=1e-6)
 
-    def test_crossing_is_a_root_of_the_excess(self):
-        base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.0)
-        gamma_star = gamma_crossing(base, T, 4)
-        model = NoisyFringeModel(NoisyFringeParams(
-            gamma=gamma_star, epsilon_r=0.02, vartheta0=0.0))
-        gain = float(model.fi(T)) * 4 / float(model.fi(T / 4))
-        assert gain == pytest.approx(1.0, abs=1e-7)
+    @pytest.mark.parametrize("eps_r", [0.0, 0.02, 0.07])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_crossing_is_a_root_of_the_excess(self, k, eps_r):
+        base = NoisyFringeParams(gamma=0.0, epsilon_r=eps_r, vartheta0=0.0)
+        gamma_star = gamma_crossing(base, T, k)
+
+        def excess(gamma):
+            model = NoisyFringeModel(NoisyFringeParams(
+                gamma=gamma, epsilon_r=eps_r, vartheta0=0.0))
+            return float(model.fi(T)) * k / float(model.fi(T / k)) - 1.0
+
+        # Brent's method on the first sign-change bracket of the same scan
+        grid = np.linspace(0.0, 2.0, 64)
+        i = next(j for j in range(63) if excess(grid[j + 1]) <= 0.0)
+        reference = brentq(excess, grid[i], grid[i + 1], xtol=1e-12)
+        assert gamma_star == pytest.approx(reference, abs=1e-8)
+        assert excess(gamma_star) == pytest.approx(0.0, abs=1e-7)
 
     def test_no_crossing_in_narrow_range(self):
         base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.0)
         with pytest.raises(NoCrossingError):
             gamma_crossing(base, T, 4, gamma_range=(0.0, 0.1))
-
-    def test_constant_fi_family_never_crosses(self):
-        base = NoisyFringeParams(gamma=0.0, epsilon_r=0.0, vartheta0=0.0)
-        with pytest.raises(NoCrossingError):
-            gamma_crossing(base, T, 4, family=lambda gamma: IDEAL_MODEL)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
