@@ -13,11 +13,14 @@ table as CSV (default) or JSON:
     crossing   dephasing rate where the chain advantage disappears
 
 CSV output carries '#'-prefixed metadata lines (tool version, command,
-effective config, seed, wall clock) and 17-significant-digit floats; JSON
-output is {"meta": ..., "columns": ..., "rows": ...} whose meta.config can be
-written to a file and fed back via --config to reproduce the run.
+effective config, seed, wall clock); JSON output is {"meta": ..., "columns":
+..., "rows": ...}, whose meta.config can be written to a file and fed back
+via --config to reproduce the run.  Each column has one type: integers print
+as integers, floats with 17 significant digits, and a non-finite float as
+inf/-inf in CSV and null in JSON; an exit-0 table never holds NaN.
 Configuration precedence is CLI flags > config file > defaults.  Exit codes:
-0 success, 2 configuration error, 3 numerical degeneracy.
+0 success, 2 configuration error (including an unknown or malformed flag),
+3 numerical degeneracy; codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -63,29 +66,35 @@ class ExperimentConfig:
 
 @dataclass
 class ResultTable:
-    """Rectangular results plus a metadata block."""
+    """Named, equal-length result columns plus a metadata block."""
 
-    columns: list[str]
-    rows: list[tuple]
+    columns: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.columns = {name: np.asarray(col)
+                        for name, col in self.columns.items()}
+        shapes = {col.shape for col in self.columns.values()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError("result columns must be 1-D and of equal length")
 
     def render_csv(self) -> str:
         lines = [f"# {key}: {_fmt_meta(value)}"
                  for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("ragged row in result table")
-            lines.append(",".join(_fmt_csv(v) for v in row))
+        lines += map(",".join, self._rows(csv=True))
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
         doc = {
             "meta": self.meta,
-            "columns": self.columns,
-            "rows": [[_json_cell(v) for v in row] for row in self.rows],
+            "columns": list(self.columns),
+            "rows": list(map(list, self._rows(csv=False))),
         }
         return json.dumps(doc, indent=2) + "\n"
+
+    def _rows(self, csv: bool):
+        return zip(*(_cells(col, csv) for col in self.columns.values()))
 
 
 def _fmt_meta(value) -> str:
@@ -94,25 +103,15 @@ def _fmt_meta(value) -> str:
     return str(value)
 
 
-def _fmt_csv(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    return value
+def _cells(col: np.ndarray, csv: bool) -> list:
+    """One column's cells: floats as %.17g in CSV and as null in JSON when
+    not finite; any other dtype as its Python value (str of it in CSV)."""
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        if csv:
+            return ["%.17g" % v for v in values]
+        return [v if math.isfinite(v) else None for v in values]
+    return list(map(str, values)) if csv else values
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +188,15 @@ _SPECS: dict[str, dict[str, tuple[type, object]]] = {
 _STOCHASTIC = {"adversary", "rmse"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError where argparse would print usage and exit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cfii", description=__doc__)
+    parser = _Parser(prog="cfii", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _SPECS.items():
         p = sub.add_parser(command)
@@ -328,8 +334,8 @@ def cmd_fi(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
     thetas = _parse_grid(params["grid"], "--grid")
-    rows = [(float(t), float(model.z(t)), float(model.fi(t))) for t in thetas]
-    return ResultTable(columns=["theta", "z", "fi"], rows=rows)
+    return ResultTable({"theta": thetas, "z": model.z(thetas),
+                        "fi": model.fi(thetas)})
 
 
 def cmd_landscape(config: ExperimentConfig) -> ResultTable:
@@ -341,21 +347,18 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
     t_ac = _parse_grid(params["grid"], "--grid")
     t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb")
 
-    ac = t_ac[:, None]
-    cb = t_cb[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_end = model.fi(ac + cb)
-        f_ac = np.broadcast_to(model.fi(t_ac)[:, None], f_end.shape)
-        f_cb = np.broadcast_to(model.fi(t_cb)[None, :], f_end.shape)
+        f_end = model.fi(t_ac[:, None] + t_cb)
+        f_ac = model.fi(t_ac)[:, None]
+        f_cb = model.fi(t_cb)
         v = 1.0 / f_end - 1.0 / f_ac - 1.0 / f_cb
         f_cl = 1.0 / (1.0 / f_ac + 1.0 / f_cb)
         g = 0.5 * (np.log(f_cl) - np.log(f_end))
     v = np.clip(v, -params["clip_v"], params["clip_v"])
     g = np.clip(g, -params["clip_g"], params["clip_g"])
-
-    rows = [(float(t_ac[i]), float(t_cb[j]), float(v[i, j]), float(g[i, j]))
-            for i in range(t_ac.size) for j in range(t_cb.size)]
-    return ResultTable(columns=["theta_ac", "theta_cb", "v", "g"], rows=rows)
+    return ResultTable({"theta_ac": np.repeat(t_ac, t_cb.size),
+                        "theta_cb": np.tile(t_cb, t_ac.size),
+                        "v": v.ravel(), "g": g.ravel()})
 
 
 def cmd_certify(config: ExperimentConfig) -> ResultTable:
@@ -371,10 +374,14 @@ def cmd_certify(config: ExperimentConfig) -> ResultTable:
     return _certify_point(params, config.seed)
 
 
+def _quantities(values: dict[str, float]) -> ResultTable:
+    """Two-column (quantity, value) table of named scalar results."""
+    return ResultTable({"quantity": list(values),
+                        "value": list(values.values())})
+
+
 def _certify_point(params: dict, seed: int) -> ResultTable:
-    k = params["k"]
-    t_total = params["t_total"]
-    n = params["shots"]
+    k, t_total, n = params["k"], params["t_total"], params["shots"]
     model = _noisy(params, params["gamma"])
     # first, so that bad t_total, k or shots stop the run before any sampling
     expected = analytic_certification(model, t_total, k, n)
@@ -382,23 +389,15 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
     segments = [sample_binary(model, t_total / k, n, seed, 1 + j)
                 for j in range(k)]
     report = certify_vk(endpoint, segments, model, se_mode=params["se_mode"])
-
-    rows = [
-        ("v_hat", report.v_hat),
-        ("se", report.se),
-        ("z", report.z),
-        ("ci95_lo", report.ci95[0]),
-        ("ci95_hi", report.ci95[1]),
-        ("fi_hat_end", report.estimates[0].value),
-    ]
-    rows += [(f"fi_hat_seg_{j + 1}", report.estimates[1 + j].value)
-             for j in range(k)]
-    rows += [
-        ("v_analytic", expected.v_hat),
-        ("se_analytic", expected.se),
-        ("z_analytic", expected.z),
-    ]
-    return ResultTable(columns=["quantity", "value"], rows=rows)
+    return _quantities({
+        "v_hat": report.v_hat, "se": report.se, "z": report.z,
+        "ci95_lo": report.ci95[0], "ci95_hi": report.ci95[1],
+        "fi_hat_end": report.estimates[0].value,
+        **{f"fi_hat_seg_{j}": e.value
+           for j, e in enumerate(report.estimates[1:], start=1)},
+        "v_analytic": expected.v_hat, "se_analytic": expected.se,
+        "z_analytic": expected.z,
+    })
 
 
 def _certify_sweep(params: dict) -> ResultTable:
@@ -406,17 +405,20 @@ def _certify_sweep(params: dict) -> ResultTable:
               if params["gamma_grid"] else np.array([params["gamma"]]))
     shots = (_parse_int_geom_grid(params["shots_grid"], "--shots-grid")
              if params["shots_grid"] else np.array([params["shots"]]))
-    rows = []
-    for gamma in gammas:
-        model = _noisy(params, float(gamma))
-        for n in shots:
-            rep = analytic_certification(model, params["t_total"],
-                                         params["k"], int(n))
-            rows.append((float(gamma), int(n), rep.v_hat, rep.se, rep.z,
-                         int(rep.z >= 3.0), int(rep.z >= 5.0)))
-    return ResultTable(
-        columns=["gamma", "shots", "v_k", "se", "z", "z_ge_3", "z_ge_5"],
-        rows=rows)
+    gamma_col = np.repeat(gammas, shots.size)
+    shots_col = np.tile(shots, gammas.size)
+    reports = [analytic_certification(_noisy(params, gamma),
+                                      params["t_total"], params["k"], n)
+               for gamma, n in zip(gamma_col.tolist(), shots_col.tolist())]
+    z = np.array([rep.z for rep in reports])
+    return ResultTable({
+        "gamma": gamma_col, "shots": shots_col,
+        "v_k": [rep.v_hat for rep in reports],
+        "se": [rep.se for rep in reports],
+        "z": z,
+        "z_ge_3": (z >= 3.0).astype(np.int64),
+        "z_ge_5": (z >= 5.0).astype(np.int64),
+    })
 
 
 def cmd_adversary(config: ExperimentConfig) -> ResultTable:
@@ -426,63 +428,61 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
                                steps=params["steps"], lr=params["lr"],
                                seed=config.seed)
     gammas = np.asarray(result.restart_gammas)
-    rows = [(r, float(g)) for r, g in enumerate(result.restart_gammas)]
-    meta = {
-        "summary_max": "%.17g" % gammas.max(),
-        "summary_mean": "%.17g" % gammas.mean(),
-        "summary_min": "%.17g" % gammas.min(),
-    }
-    return ResultTable(columns=["restart", "gamma_adv"], rows=rows, meta=meta)
+    meta = {f"summary_{stat}": "%.17g" % getattr(gammas, stat)()
+            for stat in ("max", "mean", "min")}
+    return ResultTable({"restart": np.arange(gammas.size),
+                        "gamma_adv": gammas}, meta=meta)
 
 
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
     theta = params["theta"]
-    f = float(model.fi(theta))
+    f = model.fi(theta)
     if f <= 0.0:
         raise ConfigError("reference bounds undefined: FI is zero at theta")
     n_values = _parse_int_geom_grid(params["n_grid"], "--n-grid")
     vartheta = (params["vartheta"] if params["model"] == "ideal"
                 else params["vartheta0"])
-    rows = []
-    for i, n in enumerate(n_values):
-        rmse = mc_rmse(model, theta, int(n), params["reps"], config.seed, i,
-                       vartheta=vartheta)
-        crb = 1.0 / math.sqrt(n * f)
-        rows.append((int(n), rmse, crb, math.sqrt(2.0) * crb))
-    return ResultTable(columns=["n", "rmse", "crb", "crb_classical"],
-                       rows=rows)
+    crb = 1.0 / np.sqrt(n_values * f)
+    return ResultTable({
+        "n": n_values,
+        "rmse": [mc_rmse(model, theta, n, params["reps"], config.seed, i,
+                         vartheta=vartheta)
+                 for i, n in enumerate(n_values.tolist())],
+        "crb": crb, "crb_classical": math.sqrt(2.0) * crb,
+    })
 
 
 def cmd_chain(config: ExperimentConfig) -> ResultTable:
     params = config.params
     gammas = _parse_grid(params["gamma_grid"], "--gamma-grid")
-    if params["k_grid"]:
-        ks = _parse_int_lin_grid(params["k_grid"], "--k-grid")
-    else:
-        ks = np.array([params["k"]])
+    ks = (_parse_int_lin_grid(params["k_grid"], "--k-grid")
+          if params["k_grid"] else np.array([params["k"]]))
     t_total = params["t_total"]
-    rows = []
-    for k in ks:
-        for gamma in gammas:
-            rep = k_chain_gain(_noisy(params, float(gamma)), t_total, int(k))
-            approx = k * math.exp(-2.0 * gamma * t_total * (1.0 - 1.0 / k))
-            rows.append((int(k), float(gamma), rep.f_end, rep.f_segments[0],
-                         rep.f_benchmark, rep.v, rep.gamma_ratio, approx))
-    return ResultTable(
-        columns=["k", "gamma", "f_end", "f_segment", "f_benchmark", "v_k",
-                 "gamma_k", "gamma_k_midfringe"],
-        rows=rows)
+    k_col = np.repeat(ks, gammas.size)
+    gamma_col = np.tile(gammas, ks.size)
+    pairs = list(zip(k_col.tolist(), gamma_col.tolist()))
+    reports = [k_chain_gain(_noisy(params, gamma), t_total, k)
+               for k, gamma in pairs]
+    return ResultTable({
+        "k": k_col, "gamma": gamma_col,
+        "f_end": [rep.f_end for rep in reports],
+        "f_segment": [rep.f_segments[0] for rep in reports],
+        "f_benchmark": [rep.f_benchmark for rep in reports],
+        "v_k": [rep.v for rep in reports],
+        "gamma_k": [rep.gamma_ratio for rep in reports],
+        # math.exp per row: np.exp on the column differs in the last ulp
+        "gamma_k_midfringe": [
+            k * math.exp(-2.0 * gamma * t_total * (1.0 - 1.0 / k))
+            for k, gamma in pairs],
+    })
 
 
 def cmd_nsit_demo(config: ExperimentConfig) -> ResultTable:
     nsit_holds, v = nsit_separation_demo()
-    rows = [
-        ("nsit_holds", 1.0 if nsit_holds else 0.0),
-        ("v_path", v),
-    ]
-    return ResultTable(columns=["quantity", "value"], rows=rows)
+    return _quantities({"nsit_holds": 1.0 if nsit_holds else 0.0,
+                        "v_path": v})
 
 
 def cmd_crossing(config: ExperimentConfig) -> ResultTable:
@@ -492,9 +492,8 @@ def cmd_crossing(config: ExperimentConfig) -> ResultTable:
     gamma_star = gamma_crossing(_noisy(params, 0.0).params,
                                 params["t_total"], params["k"],
                                 gamma_range=(0.0, params["gamma_max"]))
-    rows = [(params["k"], params["t_total"], params["eps_r"], gamma_star)]
-    return ResultTable(columns=["k", "t_total", "eps_r", "gamma_star"],
-                       rows=rows)
+    return ResultTable({"k": [params["k"]], "t_total": [params["t_total"]],
+                        "eps_r": [params["eps_r"]], "gamma_star": [gamma_star]})
 
 
 _COMMANDS = {
@@ -517,8 +516,8 @@ def execute(config: ExperimentConfig) -> ResultTable:
         raise
     except ValueError as exc:  # a parameter outside the library's domain
         raise ConfigError(str(exc)) from exc
-    if any(isinstance(v, float) and math.isnan(v)
-           for row in table.rows for v in row):
+    if any(np.isnan(col).any() for col in table.columns.values()
+           if col.dtype.kind == "f"):
         raise CfiiError("undefined (NaN) result cells")
     echo = dict(sorted(config.params.items()))
     echo["seed"] = config.seed

@@ -198,10 +198,11 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
         raise ValueError("need n_per_context >= 2")
     if not (math.isfinite(t_total) and t_total > 0.0):
         raise ValueError(f"need a finite t_total > 0, got {t_total}")
-    estimates = [FiEstimate(value=float(model.fi(theta)), n=n_per_context,
-                            variance=fi_estimate_variance(model, theta,
-                                                          n_per_context))
-                 for theta in [t_total] + [t_total / k] * k]
+    endpoint, segment = [
+        FiEstimate(value=float(model.fi(theta)), n=n_per_context,
+                   variance=fi_estimate_variance(model, theta, n_per_context))
+        for theta in (t_total, t_total / k)]
+    estimates = [endpoint] + [segment] * k
     return _report(estimates, [(e.value, e.variance) for e in estimates],
                    "analytic-moment")
 
@@ -319,15 +320,20 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
         raise ValueError(f"chain needs k >= 2 segments, got {k}")
     model = NoisyFringeModel(params)
 
-    def fhat(theta: float, stream: int, size) -> np.ndarray:
-        rng = derive_rng(seed, _TAG_VK, stream)
-        n0 = rng.binomial(n_per_context, float(model.p0(theta)), size=size)
-        return _score_mean(n0, n_per_context, float(model.score(0, theta)),
-                           float(model.score(1, theta)))
+    def context(theta: float) -> tuple[float, float, float]:
+        return (float(model.p0(theta)), float(model.score(0, theta)),
+                float(model.score(1, theta)))
 
-    f_end = fhat(t_total, 0, reps)
-    f_seg = np.column_stack(
-        [fhat(t_total / k, 1 + j, reps) for j in range(k)])
+    def fhat(stream: int, p0: float, s0: float, s1: float) -> np.ndarray:
+        rng = derive_rng(seed, _TAG_VK, stream)
+        n0 = rng.binomial(n_per_context, p0, size=reps)
+        return _score_mean(n0, n_per_context, s0, s1)
+
+    # the k segments share one angle: its moments are computed once, while
+    # each segment keeps its own stream (seed, 4, 1 + j)
+    segment = context(t_total / k)
+    f_end = fhat(0, *context(t_total))
+    f_seg = np.column_stack([fhat(1 + j, *segment) for j in range(k)])
     v = 1.0 / f_end - (1.0 / f_seg).sum(axis=1)
     lo, hi = np.quantile(v, [0.025, 0.975])
     return float(v.mean()), (float(lo), float(hi))

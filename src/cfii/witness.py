@@ -64,8 +64,12 @@ def v_chain(f_end: float, f_segments: Sequence[float]) -> float:
     if len(f_segments) == 0:
         raise ValueError("need at least one segment")
     _require_positive(f_end=f_end)
-    _require_positive(**{f"f_segment_{j}": f for j, f in enumerate(f_segments)})
-    return 1.0 / f_end - float(np.sum(1.0 / np.asarray(f_segments, dtype=float)))
+    f_seg = np.asarray(f_segments, dtype=float)
+    bad = np.flatnonzero(~(f_seg > 0.0))
+    if bad.size:
+        j = int(bad[0])
+        _require_positive(**{f"f_segment_{j}": f_segments[j]})
+    return 1.0 / f_end - float(np.sum(1.0 / f_seg))
 
 
 def classical_benchmark_path(f_ac: float, f_cb: float) -> float:
@@ -147,7 +151,7 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     _require_total("theta_total", theta_total)
 
     if partition == "equal":
-        segments = tuple(theta_total / k for _ in range(k))
+        segments = (theta_total / k,) * k
     elif partition == "optimized":
         if k != 2:
             raise ValueError("optimized partitions are supported for k=2 only")
@@ -157,7 +161,9 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
         raise ValueError(f"unknown partition {partition!r}")
 
     f_end = float(model.fi(theta_total))
-    f_segments = tuple(float(model.fi(seg)) for seg in segments)
+    # one evaluation per distinct angle: an equal partition needs one
+    f_by_angle = {seg: float(model.fi(seg)) for seg in set(segments)}
+    f_segments = tuple(f_by_angle[seg] for seg in segments)
     v = v_chain(f_end, f_segments)
     f_benchmark = 1.0 / float(np.sum(1.0 / np.asarray(f_segments)))
     return WitnessReport(

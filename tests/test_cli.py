@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfii.adversary import optimize_restarts
-from cfii.cli import _SPECS, ConfigError, build_config, main
+from cfii.cli import _SPECS, ConfigError, ResultTable, build_config, main
 from cfii.estimate import analytic_certification, plugin_fi, sample_binary
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
@@ -117,15 +117,25 @@ class TestConfig:
             assert code == 2
             assert "--seed is required" in err
 
-    def test_argparse_rejects_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            build_config(["frobnicate"])
-        assert exc.value.code == 2
+    def test_argparse_rejects_unknown_command(self, capsys):
+        for argv in (["frobnicate"], ["fi", "--bogus", "1"], []):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("cfii: config error: ")
 
-    def test_argparse_rejects_bad_format(self):
-        with pytest.raises(SystemExit) as exc:
-            build_config(["fi", "--format", "xml"])
-        assert exc.value.code == 2
+    def test_argparse_rejects_bad_format(self, capsys):
+        for argv in (["fi", "--format", "xml"], ["chain", "--k", "2.5"],
+                     ["fi", "--gamma", "abc"], ["fi", "--grid"]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("cfii: config error: ")
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["chain", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: cfii")
 
 
 class TestFiCommand:
@@ -478,7 +488,7 @@ class TestCrossingCommand:
 
 
 _ODD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "0.7",
-                        "1e-300", "1e300"])
+                        "1e-300", "1e300", "abc"])
 _FLOATS = _ODD | st.floats(-7.0, 7.0).map(repr)
 _GRIDS = st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, st.integers(0, 4))
 # a small adversary budget; zero and negative values stay in the draw
@@ -492,7 +502,9 @@ def _flag_values(key, typ):
         return st.sampled_from(["ideal", "noisy", "exact"])
     if key == "se_mode":
         return st.sampled_from(["empirical", "analytic-moment", "exact"])
-    return st.integers(-2, 5).map(str) if typ is int else _FLOATS
+    if typ is int:
+        return st.integers(-2, 5).map(str) | st.sampled_from(["abc", "2.5"])
+    return _FLOATS
 
 
 def _argv(command):
@@ -520,6 +532,10 @@ def _argv(command):
 @example(argv=["crossing", "--t-total", "1e-300"])
 @example(argv=["adversary", "--seed", "1", "--restarts", "2", "--steps", "3",
                "--lr", "1e300"])
+@example(argv=["fi", "--bogus", "1"])
+@example(argv=["frobnicate"])
+@example(argv=["fi", "--format", "xml"])
+@example(argv=["chain", "--k", "2.5"])
 def test_fuzzed_flags_exit_cleanly(argv):
     """Any flag values end in exit 0 with finite cells, or in exit 2/3
     with a single stderr line; no exception escapes main."""
@@ -564,17 +580,52 @@ class TestOutputPlumbing:
         doc2["meta"].pop("wallclock")
         assert doc == doc2
 
-    def test_csv_and_json_agree(self, capsys):
-        argv = ["certify", "--gamma-grid", "0.1:0.4:3"]
-        _, csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    @pytest.mark.parametrize("argv, int_columns", [
+        (["fi", "--grid", "0.1:1.1:3"], set()),
+        (["landscape", "--grid", "0.1:1.1:3"], set()),
+        (["certify", "--seed", "1"], set()),
+        (["certify", "--gamma-grid", "0.1:0.4:3"],
+         {"shots", "z_ge_3", "z_ge_5"}),
+        (["adversary", "--seed", "1", "--l", "2", "--m", "3",
+          "--restarts", "2", "--steps", "5"], {"restart"}),
+        (["rmse", "--seed", "1", "--n-grid", "100:200:2", "--reps", "20"],
+         {"n"}),
+        (["chain", "--gamma-grid", "0:0.5:3"], {"k"}),
+        (["nsit-demo"], set()),
+        (["crossing"], {"k"}),
+    ], ids=["fi", "landscape", "certify-point", "certify-sweep", "adversary",
+            "rmse", "chain", "nsit-demo", "crossing"])
+    def test_csv_and_json_agree(self, capsys, argv, int_columns):
+        code, csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == 0
         _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
         meta, columns, rows = parse_csv(csv_out)
         doc = json.loads(json_out)
         assert doc["columns"] == columns
-        assert len(doc["rows"]) == len(rows)
-        for json_row, csv_row in zip(doc["rows"], rows):
-            for a, b in zip(json_row, csv_row):
-                assert float(a) == float(b)
+        assert len(doc["rows"]) == len(rows) > 0
+        assert int_columns <= set(columns)
+        for name, json_cells, csv_cells in zip(columns, zip(*doc["rows"]),
+                                               zip(*rows)):
+            for a, b in zip(json_cells, csv_cells):
+                if name in int_columns:
+                    assert type(a) is int and b == str(a)
+                elif name == "quantity":
+                    assert type(a) is str and a == b
+                else:
+                    assert type(a) is float and float(b) == a
+
+    def test_result_table_cells(self):
+        for ragged in ({"a": [1.0, 2.0], "b": [1]}, {"a": 1.0},
+                       {"a": [[1.0], [2.0]]}):
+            with pytest.raises(ValueError, match="equal length"):
+                ResultTable(ragged)
+        table = ResultTable({"n": np.arange(2), "x": [math.inf, 0.1],
+                             "y": [-math.inf, 1.0]})
+        assert table.render_csv() == (
+            "n,x,y\n0,inf,-inf\n1,0.10000000000000001,1\n")
+        assert json.loads(table.render_json()) == {
+            "meta": {}, "columns": ["n", "x", "y"],
+            "rows": [[0, None, None], [1, 0.1, 1.0]]}
 
     def test_stochastic_runs_are_reproducible(self, capsys):
         argv = ["rmse", "--seed", "7", "--n-grid", "100:200:2",

@@ -14,6 +14,7 @@ from cfii.estimate import (ContextSample, analytic_certification,
                            sample_binary)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
+from cfii.witness import k_chain_gain
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 NOISY = NoisyFringeModel(GOLDEN)
@@ -191,6 +192,26 @@ class TestAnalyticCertification:
         for t_total in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 analytic_certification(NOISY, t_total, 4, 100)
+
+    def test_fi_evaluations_do_not_grow_with_k(self):
+        # an equal partition has two distinct angles, whatever K is
+        calls = []
+
+        class CountingFringe(NoisyFringeModel):
+            def fi(self, theta):
+                calls.append(theta)
+                return super().fi(theta)
+
+        model, k = CountingFringe(GOLDEN), 10 ** 5
+        f_segment = float(NOISY.fi(T / k))
+        report = k_chain_gain(model, T, k)
+        assert len(calls) <= 2
+        assert report.f_segments == (f_segment,) * k
+        calls.clear()
+        cert = analytic_certification(model, T, k, 1000)
+        assert len(calls) <= 4
+        assert [e.value for e in cert.estimates] == (
+            [float(NOISY.fi(T))] + [f_segment] * k)
 
 
 class TestClassifierScore:

@@ -59,6 +59,13 @@ class TestVChain:
         with pytest.raises(ValueError):
             v_chain(1.0, [])
 
+    def test_names_the_first_nonpositive_segment(self):
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_segment_2 must be > 0, got 0\.0$"):
+            v_chain(1.0, [1.0, 2.0, 0.0, -1.0])
+        with pytest.raises(NonPositiveFiError, match=r"^f_segment_1 .* nan$"):
+            v_chain(1.0, [1.0, math.nan])
+
 
 class TestBenchmarkAndIndicators:
     def test_harmonic_benchmark(self):
