@@ -86,12 +86,17 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        doc = {
-            "meta": self.meta,
-            "columns": list(self.columns),
-            "rows": list(map(list, self._rows(csv=False))),
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The text of json.dumps(doc, indent=2) and a newline, for doc =
+        {"meta": ..., "columns": ..., "rows": ...}: the indent encoder writes
+        meta and columns, and the rows are laid out in the same form from
+        cells encoded a column at a time (the indent encoder is pure Python
+        and slow on large tables)."""
+        head = json.dumps({"meta": self.meta, "columns": list(self.columns)},
+                          indent=2)  # ends in "\n}"
+        rows = ["    [\n      " + ",\n      ".join(row) + "\n    ]"
+                for row in self._rows(csv=False)]
+        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
     def _rows(self, csv: bool):
         return zip(*(_cells(col, csv) for col in self.columns.values()))
@@ -103,15 +108,17 @@ def _fmt_meta(value) -> str:
     return str(value)
 
 
-def _cells(col: np.ndarray, csv: bool) -> list:
-    """One column's cells: floats as %.17g in CSV and as null in JSON when
-    not finite; any other dtype as its Python value (str of it in CSV)."""
+def _cells(col: np.ndarray, csv: bool) -> list[str]:
+    """One column's cells as text: floats as %.17g in CSV and as JSON
+    numbers, or null when not finite, in JSON; any other dtype as the str
+    (CSV) or the JSON encoding of its Python value."""
     values = col.tolist()
     if col.dtype.kind == "f":
         if csv:
             return ["%.17g" % v for v in values]
-        return [v if math.isfinite(v) else None for v in values]
-    return list(map(str, values)) if csv else values
+        # json encodes a finite float as its repr
+        return [repr(v) if math.isfinite(v) else "null" for v in values]
+    return list(map(str if csv else json.dumps, values))
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     Runs `reps` independent equal-partition experiments with n_per_context
     shots in each of the 1 + k contexts (one derived stream per context) and
     returns the mean and the empirical 2.5%/97.5% quantiles of V_hat.
+    A zero plug-in FI estimate in any replication raises EstimationError,
+    as in certify_vk.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -334,6 +336,8 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     segment = context(t_total / k)
     f_end = fhat(0, *context(t_total))
     f_seg = np.column_stack([fhat(1 + j, *segment) for j in range(k)])
+    if not ((f_end > 0.0).all() and (f_seg > 0.0).all()):
+        raise EstimationError("zero plug-in FI estimate; witness undefined")
     v = 1.0 / f_end - (1.0 / f_seg).sum(axis=1)
     lo, hi = np.quantile(v, [0.025, 0.975])
     return float(v.mean()), (float(lo), float(hi))

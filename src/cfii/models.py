@@ -54,15 +54,23 @@ class QubitPreparation:
 
 @dataclass(frozen=True)
 class NoisyFringeParams:
-    """Dephasing rate gamma, readout error eps_r, and fringe offset vartheta0."""
+    """Dephasing rate gamma, readout error eps_r, and fringe offset vartheta0.
+
+    gamma may also be a 1-D array of rates, each checked like a scalar one;
+    the model's z, zdot, zddot and fi then broadcast over it, element for
+    element equal to the scalar-rate model.
+    """
 
     gamma: float
     epsilon_r: float = 0.0
     vartheta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        gamma = np.asarray(self.gamma)
+        ok = np.isfinite(gamma) & (gamma >= 0.0)
+        if not ok.all():
+            raise ValueError("gamma must be finite and >= 0, got "
+                             f"{gamma[~ok].flat[0]}")
         if not math.isfinite(self.vartheta0):
             raise ValueError(f"vartheta0 must be finite, got {self.vartheta0}")
         if not 0.0 <= self.epsilon_r < 0.5:
@@ -159,7 +167,7 @@ class NoisyFringeModel(BinaryModel):
     params: NoisyFringeParams
 
     def _check(self, theta) -> None:
-        if np.any(np.asarray(theta) < 0.0):
+        if (np.asarray(theta) < 0.0).any():
             raise ValueError("noisy fringe is defined for theta >= 0")
 
     def z(self, theta):

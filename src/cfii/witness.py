@@ -34,6 +34,9 @@ from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
 # Segment FIs below this are treated as dead when maximizing over splits.
 SPLIT_FI_FLOOR = 1e-12
 
+# Bisection levels that gamma_crossing evaluates per array call.
+_TREE_DEPTH = 6
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -182,24 +185,33 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     """Dephasing rate gamma_star at which the chain gain Gamma_K(gamma)
     crosses 1, for the noisy fringe with `base`'s eps_r and vartheta0.
 
-    Scans 64 bracketing points over gamma_range, then bisects the first
-    sign-change bracket [a, b], keeping Gamma_K(a) > 1 >= Gamma_K(b), until
-    it is at most 1e-8 wide; returns its midpoint.
+    Scans 64 bracketing points over gamma_range in one array evaluation,
+    then bisects the first sign-change bracket [a, b], keeping
+    Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide; returns
+    its midpoint.  The bisection is batched: each round evaluates the next
+    six levels of midpoints at once and walks that tree with the scalar
+    bisection's test, so gamma_star is bit-identical to bisecting one
+    midpoint at a time.  A zero segment FI raises only at a point that
+    scalar bisection would evaluate.
     """
     if k < 2:
         raise ValueError(f"chain needs k >= 2 segments, got {k}")
     _require_total("t_total", t_total)
 
-    def excess(gamma: float) -> float:
+    def excess(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = NoisyFringeModel(NoisyFringeParams(
-            gamma=gamma, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
-        f_segment = float(m.fi(t_total / k))
-        _require_positive(f_segment=f_segment)
-        return float(m.fi(t_total)) * k / f_segment - 1.0
+            gamma=gammas, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
+        f_segment = m.fi(t_total / k)
+        # points off the bisection path may have a zero segment FI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return m.fi(t_total) * k / f_segment - 1.0, f_segment
 
     lo, hi = gamma_range
     grid = np.linspace(lo, hi, 64)
-    vals = np.array([excess(g) for g in grid])
+    vals, f_segment = excess(grid)
+    bad = np.flatnonzero(~(f_segment > 0.0))
+    if bad.size:
+        _require_positive(f_segment=float(f_segment[bad[0]]))
     if vals[0] <= 0.0:
         raise NoCrossingError("Gamma_K does not start above 1 at gamma = "
                               f"{lo}")
@@ -210,8 +222,23 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     i = int(sign_change[0])
     a, b = float(grid[i]), float(grid[i + 1])
     while b - a > 1e-8:
-        mid = 0.5 * (a + b)
-        a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
+        # the next levels of midpoints, each the midpoint of its two sorted
+        # neighbours, as bisection computes them; walking the levels is a
+        # binary search over the sorted edges
+        edges = np.array([a, b])
+        for _ in range(_TREE_DEPTH):
+            finer = np.empty(2 * edges.size - 1)
+            finer[::2], finer[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+            edges = finer
+        vals, f_segment = excess(edges)
+        lo_j, hi_j = 0, edges.size - 1
+        while b - a > 1e-8 and hi_j - lo_j > 1:
+            j = (lo_j + hi_j) // 2
+            _require_positive(f_segment=float(f_segment[j]))
+            if vals[j] > 0.0:
+                a, lo_j = float(edges[j]), j
+            else:
+                b, hi_j = float(edges[j]), j
     return 0.5 * (a + b)
 
 

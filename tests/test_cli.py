@@ -601,6 +601,7 @@ class TestOutputPlumbing:
         _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
         meta, columns, rows = parse_csv(csv_out)
         doc = json.loads(json_out)
+        assert json_out == json.dumps(doc, indent=2) + "\n"
         assert doc["columns"] == columns
         assert len(doc["rows"]) == len(rows) > 0
         assert int_columns <= set(columns)
@@ -626,6 +627,28 @@ class TestOutputPlumbing:
         assert json.loads(table.render_json()) == {
             "meta": {}, "columns": ["n", "x", "y"],
             "rows": [[0, None, None], [1, 0.1, 1.0]]}
+
+    def test_render_json_is_indent_2_json_dumps(self):
+        meta = {"tool": "cfii test", "note": 'a "b", \\c \u00e9',
+                "config": {"gamma": 0.25, "seed": None}}
+        floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1]
+        ints = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1,
+                2, 3]
+        strs = ['say "hi"', "back\\slash", "a, b", "\u00fc\u03c0", ", ",
+                "", "\u2019, \"\\"]
+        tables = [
+            (ResultTable({"x": floats, "n": np.array(ints, dtype=np.int64),
+                          "s": strs}, meta=meta),
+             [[x if math.isfinite(x) else None, n, t]
+              for x, n, t in zip(floats, ints, strs)]),
+            (ResultTable({"x": np.array([]),
+                          "n": np.array([], dtype=np.int64)}, meta=meta), []),
+            (ResultTable({}), []),
+        ]
+        for table, rows in tables:
+            doc = {"meta": table.meta, "columns": list(table.columns),
+                   "rows": rows}
+            assert table.render_json() == json.dumps(doc, indent=2) + "\n"
 
     def test_stochastic_runs_are_reproducible(self, capsys):
         argv = ["rmse", "--seed", "7", "--n-grid", "100:200:2",

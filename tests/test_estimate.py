@@ -340,3 +340,11 @@ class TestMonteCarlo:
             mc_vk_distribution(GOLDEN, T, 1, 500, reps=10, seed=0)
         with pytest.raises(ValueError):
             mc_vk_distribution(GOLDEN, T, 4, 500, reps=0, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vk_zero_plugin_fi_raises(self):
+        # segment angle 1.2 / 4 = vartheta0 at gamma = 0: zdot and both
+        # scores vanish, so every segment estimate is 0, as in certify_vk
+        params = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.3)
+        with pytest.raises(EstimationError, match="zero plug-in FI"):
+            mc_vk_distribution(params, 1.2, 4, 500, 200, 11)

@@ -114,6 +114,28 @@ class TestNoisyFringe:
         with pytest.raises(ValueError):
             NoisyFringeParams(gamma=0.1, epsilon_r=0.5)
         assert GOLDEN.contrast == pytest.approx(0.96)
+        for bad in (math.nan, math.inf, -0.5):
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                NoisyFringeParams(gamma=np.array([0.0, 0.3, bad, -1.0]))
+        NoisyFringeParams(gamma=np.array([0.0, 0.3, 2.0]))
+
+    @pytest.mark.parametrize("eps_r", [0.0, 0.02])
+    @pytest.mark.parametrize("vartheta0", [0.0, 0.7])
+    def test_gamma_grid_matches_scalar_models(self, eps_r, vartheta0):
+        # gamma = 0 and eps_r = 0 at theta = vartheta0 (+ pi) is the
+        # removable singularity z^2 = 1
+        gammas = np.array([0.0, 1e-9, 0.25, 1.0, 3.0])
+        grid = NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=eps_r, vartheta0=vartheta0))
+        for theta in (0.0, vartheta0, vartheta0 + math.pi, 0.4, 2.9):
+            for name in ("z", "zdot", "zddot", "fi"):
+                scalar = np.array([
+                    getattr(NoisyFringeModel(NoisyFringeParams(
+                        gamma=g, epsilon_r=eps_r, vartheta0=vartheta0)),
+                        name)(theta)
+                    for g in gammas.tolist()])
+                assert (getattr(grid, name)(theta).tobytes()
+                        == scalar.tobytes()), (name, theta)
 
 
 class TestScores:

@@ -1,6 +1,7 @@
 """Tests for path witnesses, benchmarks, chain gains, and the crossing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,7 +173,103 @@ class TestKChainGain:
             k_chain_gain(model, T, 2, partition="bogus")
 
 
+def reference_crossing(base, t_total, k, gamma_range=(0.0, 2.0),
+                       model_cls=NoisyFringeModel):
+    """Scalar scan and bisection: one model per gamma, one midpoint per
+    step.  gamma_crossing must return the same float and raise the same
+    errors."""
+    if k < 2:
+        raise ValueError(f"chain needs k >= 2 segments, got {k}")
+    if not (math.isfinite(t_total) and t_total > 0.0):
+        raise ValueError(f"need a finite t_total > 0, got {t_total}")
+
+    def excess(gamma):
+        m = model_cls(NoisyFringeParams(
+            gamma=gamma, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
+        f_segment = float(m.fi(t_total / k))
+        if not f_segment > 0.0:
+            raise NonPositiveFiError(f"f_segment must be > 0, got {f_segment}")
+        return float(m.fi(t_total)) * k / f_segment - 1.0
+
+    lo, hi = gamma_range
+    grid = np.linspace(lo, hi, 64)
+    vals = np.array([excess(g) for g in grid])
+    if vals[0] <= 0.0:
+        raise NoCrossingError(f"Gamma_K does not start above 1 at gamma = {lo}")
+    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
+    if sign_change.size == 0:
+        raise NoCrossingError(
+            f"Gamma_K stays above 1 on [{lo}, {hi}]; no crossing")
+    i = int(sign_change[0])
+    a, b = float(grid[i]), float(grid[i + 1])
+    while b - a > 1e-8:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
+    return 0.5 * (a + b)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ValueError, NoCrossingError, NonPositiveFiError) as exc:
+        return type(exc), str(exc)
+
+
+def _dead_segment_model(t_segment, dead):
+    """Noisy fringe whose FI at t_segment is 0 for the gammas in `dead`."""
+    class DeadSegment(NoisyFringeModel):
+        def fi(self, theta):
+            f = super().fi(theta)
+            if theta != t_segment:
+                return f
+            return np.where(dead(np.asarray(self.params.gamma)), 0.0, f)
+    return DeadSegment
+
+
 class TestGammaCrossing:
+    @pytest.mark.parametrize("gamma_range",
+                             [(0.0, 2.0), (0.0, 0.5), (0.0, 7.0)])
+    @pytest.mark.parametrize("t_total", [math.pi / 2, 1.0, 2.5])
+    @pytest.mark.parametrize("eps_r", [0.0, 0.02, 0.07])
+    def test_bit_identical_to_scalar_bisection(self, eps_r, t_total,
+                                               gamma_range):
+        base = NoisyFringeParams(gamma=0.0, epsilon_r=eps_r)
+        for k in range(2, 8):
+            args = (base, t_total, k, gamma_range)
+            assert (_outcome(gamma_crossing, *args)
+                    == _outcome(reference_crossing, *args))
+
+    def test_zero_segment_fi_raises_only_where_scalar_bisection_does(
+            self, monkeypatch):
+        base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02)
+        gamma_star = reference_crossing(base, T, 4)
+        # first bracket [grid[13], grid[14]]; its first midpoint lies below
+        # gamma_star, so bisection never evaluates the half below it
+        grid = np.linspace(0.0, 2.0, 64)
+        a, b = grid[13], grid[14]
+        mid = 0.5 * (a + b)
+        assert a < mid < gamma_star < b
+        off_path = _dead_segment_model(T / 4, lambda g: (g > a) & (g < mid))
+        monkeypatch.setattr("cfii.witness.NoisyFringeModel", off_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma_crossing(base, T, 4) == gamma_star
+        assert reference_crossing(base, T, 4, model_cls=off_path) == gamma_star
+
+        on_path = _dead_segment_model(T / 4, lambda g: g == mid)
+        monkeypatch.setattr("cfii.witness.NoisyFringeModel", on_path)
+        expected = _outcome(reference_crossing, base, T, 4, (0.0, 2.0),
+                            on_path)
+        assert expected == (NonPositiveFiError,
+                            "f_segment must be > 0, got 0.0")
+        assert _outcome(gamma_crossing, base, T, 4) == expected
+
+        monkeypatch.undo()
+        expected = _outcome(reference_crossing, base, 1e-300, 4)
+        assert expected == (NonPositiveFiError,
+                            "f_segment must be > 0, got 0.0")
+        assert _outcome(gamma_crossing, base, 1e-300, 4) == expected
+
     def test_golden_crossing_location(self):
         base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.0)
         gamma_star = gamma_crossing(base, T, 4)
