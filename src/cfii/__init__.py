@@ -27,9 +27,9 @@ import os
 # workers sleep at once keeps the pool, and the caller's own setting wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .adversary import (AdversaryEval, AdversaryParams, OptimizeResult,
-                        endpoint_fim, eval_kernels, evaluate, gamma_adv,
-                        gamma_adv_gradient, module_fis, optimize_restarts)
+from .adversary import (AdversaryParams, OptimizeResult, endpoint_fim,
+                        eval_kernels, gamma_adv, gamma_adv_gradient,
+                        module_fis, optimize_restarts)
 from .errors import (BranchWarning, CfiiError, DegenerateBenchmarkError,
                      DegenerateModelError, EstimationError, NoCrossingError,
                      NonPositiveFiError, NonStochasticChannelError,
@@ -77,7 +77,6 @@ __all__ = [
     "analytic_certification", "classifier_score", "classifier_fi",
     "mle_theta", "mc_rmse", "mc_vk_distribution",
     # adversary
-    "AdversaryParams", "AdversaryEval", "OptimizeResult", "eval_kernels",
-    "module_fis", "endpoint_fim", "evaluate", "gamma_adv",
-    "gamma_adv_gradient", "optimize_restarts",
+    "AdversaryParams", "OptimizeResult", "eval_kernels", "module_fis",
+    "endpoint_fim", "gamma_adv", "gamma_adv_gradient", "optimize_restarts",
 ]

@@ -16,8 +16,12 @@ two module parameters.  The series law caps Gamma_adv at 1 for every modular
 parameterization; gradient ascent with random restarts probes how tightly the
 bound can be approached.
 
-The gradient is computed analytically by reverse-mode composition through the
-softmax-tangent, module-FI, endpoint-FIM, and pseudoinverse stages.
+Gamma_adv, its gradient and the optimizer share one batched evaluation
+(`_forward`, one row per parameter point), and the gradient is computed
+analytically by reverse-mode composition through the softmax-tangent,
+module-FI, endpoint-FIM, and pseudoinverse stages (`_backward`).  The
+closed-form single-point stages `eval_kernels`, `module_fis` and
+`endpoint_fim` are kept as the reference that the batch is tested against.
 """
 
 from __future__ import annotations
@@ -27,31 +31,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBenchmarkError, OptimizationError
-from .fim import PINV_RCOND, ROWSPACE_TOL, FisherMatrix, effective_fi
+from .fim import PINV_RCOND, ROWSPACE_TOL, FisherMatrix
 from .rng import derive_rng
 
 # Module FIs below this make the harmonic benchmark degenerate.
 FI_FLOOR = 1e-14
 
-_U = np.ones(2)
-_NORM_U = float(np.linalg.norm(_U))
+_NORM_U = float(np.linalg.norm(np.ones(2)))  # |u| for u = (1, 1)
 _TAG_RESTART = 5
 
 
 @dataclass(frozen=True)
 class AdversaryParams:
-    """Logits and logit-derivatives of the two softmax tangent kernels.
-
-    The expansion point (theta1_0, theta2_0) never enters the local
-    computation; it is carried as metadata only.
-    """
+    """Logits and logit-derivatives of the two softmax tangent kernels."""
 
     a: np.ndarray
     a_dot: np.ndarray
     d: np.ndarray
     d_dot: np.ndarray
-    theta1_0: float = 0.0
-    theta2_0: float = 0.0
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -79,20 +76,6 @@ class AdversaryParams:
     @property
     def m(self) -> int:
         return self.d.shape[1]
-
-
-@dataclass(frozen=True)
-class AdversaryEval:
-    """Kernels, module FIs, endpoint matrix, and the saturation ratio."""
-
-    alpha: np.ndarray
-    alpha_dot: np.ndarray
-    beta: np.ndarray
-    beta_dot: np.ndarray
-    f_ac: float
-    f_cb: float
-    f_b: FisherMatrix
-    gamma_adv: float
 
 
 @dataclass(frozen=True)
@@ -145,24 +128,6 @@ def endpoint_fim(kernels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return FisherMatrix(0.5 * (mat + mat.T))
 
 
-def evaluate(params: AdversaryParams) -> AdversaryEval:
-    """Full evaluation; raises when the benchmark is degenerate."""
-    kernels = eval_kernels(params)
-    f_ac, f_cb = module_fis(kernels)
-    if f_ac < FI_FLOOR or f_cb < FI_FLOOR:
-        raise DegenerateBenchmarkError(
-            f"module FI vanished (f_ac={f_ac}, f_cb={f_cb})")
-    f_b = endpoint_fim(kernels)
-    gamma = effective_fi(f_b, _U) * (1.0 / f_ac + 1.0 / f_cb)
-    return AdversaryEval(*kernels, f_ac=f_ac, f_cb=f_cb, f_b=f_b,
-                         gamma_adv=float(gamma))
-
-
-def gamma_adv(params: AdversaryParams) -> float:
-    """Saturation ratio of the adversary; always <= 1 (series law)."""
-    return evaluate(params).gamma_adv
-
-
 def _unpack(theta: np.ndarray, l: int, m: int):
     """Views (a, a_dot, d, d_dot) of a (B, 2L + 2LM) batch of parameters."""
     b = theta.shape[0]
@@ -177,8 +142,9 @@ def _forward(theta: np.ndarray, l: int, m: int):
     Returns (gamma, degenerate, ctx).  A row whose module FI is below
     FI_FLOOR, or whose direction u leaves the endpoint row space (the blind
     m = 2 endpoint), gets gamma = 0 and a zero gradient.  Every other row
-    matches `gamma_adv`: same eigendecomposition pseudoinverse, same cutoff
-    constants.  Rows never mix, so a row's value does not depend on the batch.
+    is effective_fi(endpoint_fim, u) * (1/F_ac + 1/F_cb) of the closed-form
+    stages: same eigendecomposition pseudoinverse, same cutoff constants.
+    Rows never mix, so a row's value does not depend on the batch.
     """
     b = theta.shape[0]
     a, a_dot, d, d_dot = _unpack(theta, l, m)
@@ -258,14 +224,27 @@ def _backward(ctx) -> np.ndarray:
     return grad
 
 
+def _forward_one(params: AdversaryParams):
+    """`_forward` on the single row of `params`; raises when a module FI is
+    below FI_FLOOR, where the harmonic benchmark is degenerate."""
+    theta = np.concatenate((params.a, params.a_dot, params.d.ravel(),
+                            params.d_dot.ravel()))[None]
+    gamma, degenerate, ctx = _forward(theta, params.l, params.m)
+    if degenerate[0]:
+        raise DegenerateBenchmarkError(
+            f"module FI vanished (below FI_FLOOR = {FI_FLOOR})")
+    return float(gamma[0]), ctx
+
+
+def gamma_adv(params: AdversaryParams) -> float:
+    """Saturation ratio of the adversary; always <= 1 (series law)."""
+    return _forward_one(params)[0]
+
+
 def gamma_adv_gradient(params: AdversaryParams
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradient of Gamma_adv with respect to (a, a_dot, d, d_dot)."""
-    theta = np.concatenate((params.a, params.a_dot, params.d.ravel(),
-                            params.d_dot.ravel()))[None]
-    _, degenerate, ctx = _forward(theta, params.l, params.m)
-    if degenerate[0]:
-        raise DegenerateBenchmarkError("gradient undefined: module FI vanished")
+    _, ctx = _forward_one(params)
     return tuple(g[0] for g in _unpack(_backward(ctx), params.l, params.m))
 
 

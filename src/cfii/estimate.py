@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BranchWarning, DegenerateModelError, EstimationError
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
 from .rng import derive_rng
-from .witness import v_chain
+from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
 
@@ -92,6 +92,8 @@ def sample_binary(model: BinaryModel, theta: float, n: int, seed: int,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p0 = float(model.p0(theta))
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
     rng = derive_rng(seed, _TAG_SAMPLE, *path)
     outcomes = (rng.random(n) >= p0).astype(np.int8)
     return ContextSample(theta=float(theta), outcomes=outcomes)
@@ -192,12 +194,9 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     """Deterministic delta-method prediction for the equal-partition chain:
     the witness, SE, and Z that an n_per_context-shot experiment is expected
     to produce, computed entirely from analytic moments."""
-    if k < 2:
-        raise ValueError(f"chain needs k >= 2 segments, got {k}")
+    k = _require_chain(k, t_total, "t_total")
     if n_per_context < 2:
         raise ValueError("need n_per_context >= 2")
-    if not (math.isfinite(t_total) and t_total > 0.0):
-        raise ValueError(f"need a finite t_total > 0, got {t_total}")
     endpoint, segment = [
         FiEstimate(value=float(model.fi(theta)), n=n_per_context,
                    variance=fi_estimate_variance(model, theta, n_per_context))
@@ -316,10 +315,9 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     A zero plug-in FI estimate in any replication raises EstimationError,
     as in certify_vk.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if k < 2:
-        raise ValueError(f"chain needs k >= 2 segments, got {k}")
+    k = _require_chain(k, t_total, "t_total")
+    if n_per_context < 1 or reps < 1:
+        raise ValueError("n_per_context and reps must be >= 1")
     model = NoisyFringeModel(params)
 
     def context(theta: float) -> tuple[float, float, float]:

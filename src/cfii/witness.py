@@ -30,6 +30,7 @@ from .errors import (DegenerateBenchmarkError, NoCrossingError,
 from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                      NoisyFringeParams, QubitFringeModel, QubitPreparation,
                      categorical_product)
+from .rng import require_integral
 
 # Segment FIs below this are treated as dead when maximizing over splits.
 SPLIT_FI_FLOOR = 1e-12
@@ -110,7 +111,7 @@ def split_optimized_benchmark(model: BinaryModel,
     relative 1e-9, absorbing FI roundoff near fringe extremes) toward the
     symmetric split lambda = 0.5.  Returns (benchmark FI, lambda_star).
     """
-    _require_total("theta_total", theta_total)
+    _require_chain(2, theta_total, "theta_total")
 
     def benchmark(lam):
         f = np.stack([model.fi(lam * theta_total),
@@ -149,9 +150,7 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     partition="equal" uses K equal segments; partition="optimized" is
     available for k=2 and maximizes the benchmark over the split point.
     """
-    if k < 2:
-        raise ValueError(f"chain needs k >= 2 segments, got {k}")
-    _require_total("theta_total", theta_total)
+    k = _require_chain(k, theta_total, "theta_total")
 
     if partition == "equal":
         segments = (theta_total / k,) * k
@@ -194,9 +193,7 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     midpoint at a time.  A zero segment FI raises only at a point that
     scalar bisection would evaluate.
     """
-    if k < 2:
-        raise ValueError(f"chain needs k >= 2 segments, got {k}")
-    _require_total("t_total", t_total)
+    k = _require_chain(k, t_total, "t_total")
 
     def excess(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = NoisyFringeModel(NoisyFringeParams(
@@ -286,9 +283,16 @@ def _nsit_holds(p_direct, p_context) -> bool:
     return bool(np.max(np.abs(np.asarray(p_context) - p_direct)) < 1e-14)
 
 
-def _require_total(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"need a finite {name} > 0, got {value}")
+def _require_chain(k, total: float, name: str) -> int:
+    """Check the arguments of a k-segment chain of total angle `total`:
+    k an integral value >= 2 (an integral float such as 4.0 acts as 4) and
+    a finite total > 0.  Returns k as an int."""
+    k = require_integral(k, "k")
+    if k < 2:
+        raise ValueError(f"chain needs k >= 2 segments, got {k}")
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"need a finite {name} > 0, got {total}")
+    return k
 
 
 def _require_positive(**named: float) -> None:

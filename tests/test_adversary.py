@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cfii.adversary import (AdversaryParams, _backward, _forward,
-                            endpoint_fim, eval_kernels, evaluate, gamma_adv,
+from cfii.adversary import (FI_FLOOR, AdversaryParams, _backward, _forward,
+                            endpoint_fim, eval_kernels, gamma_adv,
                             gamma_adv_gradient, module_fis, optimize_restarts)
 from cfii.errors import DegenerateBenchmarkError
+from cfii.fim import PINV_RCOND, effective_fi
 from cfii.rng import derive_rng
 
 
@@ -28,6 +29,22 @@ def params_from_vector(x, l, m):
         d=x[2 * l:2 * l + l * m].reshape(l, m),
         d_dot=x[2 * l + l * m:].reshape(l, m),
     )
+
+
+def closed_form_gamma(params):
+    """Gamma_adv composed from the closed-form stages (None below the FI
+    floor), the smaller module FI, and the condition number of the endpoint
+    FIM over the eigenvalues its pseudoinverse keeps."""
+    kernels = eval_kernels(params)
+    f_ac, f_cb = module_fis(kernels)
+    f_min = min(f_ac, f_cb)
+    if f_min < FI_FLOOR:
+        return None, f_min, None
+    f_b = endpoint_fim(kernels)
+    w = np.linalg.eigvalsh(f_b.mat)
+    w = w[w > PINV_RCOND * w[-1]]
+    return (effective_fi(f_b, np.ones(2)) * (1.0 / f_ac + 1.0 / f_cb),
+            f_min, w[-1] / w[0])
 
 
 def softmax(x):
@@ -203,16 +220,35 @@ class TestGammaAdv:
             params = random_params(rng, int(rng.integers(2, 5)), 2)
             assert gamma_adv(params) == 0.0
 
-    def test_evaluate_report_is_consistent(self):
+    def test_matches_closed_form_composition(self):
+        # Gamma_adv runs the batched core; the closed-form stages are its
+        # reference.  An ill-conditioned endpoint FIM amplifies the roundoff
+        # of the two summation orders by its condition number kappa, so the
+        # 1e-14 bound grows by a few ulps of kappa * Gamma
         rng = np.random.default_rng(14)
-        params = random_params(rng, 4, 3)
-        ev = evaluate(params)
-        kernels = eval_kernels(params)
-        f_ac, f_cb = module_fis(kernels)
-        assert ev.f_ac == f_ac and ev.f_cb == f_cb
-        assert ev.gamma_adv == gamma_adv(params)
-        np.testing.assert_array_equal(ev.f_b.mat,
-                                      endpoint_fim(kernels).mat)
+        counts = {"floor": 0, "blind": 0, "live": 0}
+        for i in range(2000):
+            l = int(rng.integers(1, 6))
+            m = int(rng.integers(2, 6))
+            x = rng.uniform(0.3, 4.0) * rng.normal(size=2 * l + 2 * l * m)
+            if i % 7 == 0:  # constant a_dot puts F_ac at the floor
+                x[l:2 * l] = x[l]
+            params = params_from_vector(x, l, m)
+            expected, f_min, kappa = closed_form_gamma(params)
+            if f_min < FI_FLOOR:
+                counts["floor"] += 1
+                with pytest.raises(DegenerateBenchmarkError):
+                    gamma_adv(params)
+                continue
+            gamma = gamma_adv(params)
+            if expected == 0.0:
+                counts["blind"] += 1
+                assert gamma == 0.0
+                continue
+            counts["live"] += 1
+            tol = 1e-14 + 4.0 * np.finfo(float).eps * kappa * expected
+            assert abs(gamma - expected) <= tol
+        assert min(counts.values()) >= 200
 
 
 class TestGradient:
@@ -294,7 +330,7 @@ class TestBatchedCore:
                 assert gamma[i] == 0.0
                 assert np.all(grad[i] == 0.0)
                 continue
-            assert abs(gamma[i] - gamma_adv(params)) <= 1e-14
+            assert abs(gamma[i] - closed_form_gamma(params)[0]) <= 1e-14
             reference = np.concatenate(
                 [g.ravel() for g in gamma_adv_gradient(params)])
             assert np.max(np.abs(grad[i] - reference)) <= 1e-12

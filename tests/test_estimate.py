@@ -14,6 +14,7 @@ from cfii.estimate import (ContextSample, analytic_certification,
                            sample_binary)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
+from cfii.rng import derive_rng
 from cfii.witness import k_chain_gain
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
@@ -42,6 +43,25 @@ class TestSampling:
             ContextSample(theta=0.1, outcomes=np.array([0, 2]))
         with pytest.raises(ValueError):
             ContextSample(theta=0.1, outcomes=np.array([], dtype=int))
+        # a NaN probability would compare False everywhere: all-zero data
+        with pytest.raises(ValueError):
+            sample_binary(NOISY, math.nan, 10, seed=1)
+        with pytest.raises(ValueError):
+            sample_binary(NOISY, 0.7, 10, seed=1.5)
+        with pytest.raises(ValueError):
+            sample_binary(NOISY, 0.7, 10, 1, 0.5)
+        with pytest.raises(ValueError):
+            mc_rmse(NOISY, 0.7, 100, 10, seed=1.9)
+
+    def test_derive_rng_takes_integral_values_only(self):
+        draws = derive_rng(3, 1, 4).random(4)
+        for seed, path in ((3.0, (1.0, 4.0)), (np.int64(3), (np.int8(1), 4))):
+            np.testing.assert_array_equal(derive_rng(seed, *path).random(4),
+                                          draws)
+        for seed, path in ((1.5, ()), (3, (1, 0.5)), (math.nan, ()),
+                           (math.inf, ()), (3, ("1",))):
+            with pytest.raises(ValueError):
+                derive_rng(seed, *path)
 
 
 class TestPluginFi:
@@ -192,6 +212,11 @@ class TestAnalyticCertification:
         for t_total in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 analytic_certification(NOISY, t_total, 4, 100)
+        for k in (2.5, math.nan, "4"):
+            with pytest.raises(ValueError):
+                analytic_certification(NOISY, T, k, 100)
+        assert (analytic_certification(NOISY, T, 4.0, 100)
+                == analytic_certification(NOISY, T, 4, 100))
 
     def test_fi_evaluations_do_not_grow_with_k(self):
         # an equal partition has two distinct angles, whatever K is
@@ -340,6 +365,16 @@ class TestMonteCarlo:
             mc_vk_distribution(GOLDEN, T, 1, 500, reps=10, seed=0)
         with pytest.raises(ValueError):
             mc_vk_distribution(GOLDEN, T, 4, 500, reps=0, seed=0)
+        for t_total in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                mc_vk_distribution(GOLDEN, t_total, 4, 100, reps=10, seed=1)
+        for k in (2.5, math.nan):
+            with pytest.raises(ValueError):
+                mc_vk_distribution(GOLDEN, T, k, 100, reps=10, seed=1)
+        with pytest.raises(ValueError):
+            mc_vk_distribution(GOLDEN, T, 4, 0, reps=10, seed=1)
+        assert (mc_vk_distribution(GOLDEN, T, 4.0, 100, reps=10, seed=1)
+                == mc_vk_distribution(GOLDEN, T, 4, 100, reps=10, seed=1))
 
     @pytest.mark.filterwarnings("error")
     def test_vk_zero_plugin_fi_raises(self):

@@ -126,6 +126,15 @@ class TestSplitOptimizedBenchmark:
                 k_chain_gain(IDEAL_MODEL, total, 2)
             with pytest.raises(ValueError):
                 gamma_crossing(GOLDEN, total, 4)
+        # k is an integral value >= 2; an integral float acts as that int
+        for k in (2.5, 1.0, math.nan, math.inf, "4"):
+            with pytest.raises(ValueError):
+                k_chain_gain(IDEAL_MODEL, T, k)
+            with pytest.raises(ValueError):
+                gamma_crossing(GOLDEN, T, k)
+        assert k_chain_gain(IDEAL_MODEL, T, 4.0) == k_chain_gain(IDEAL_MODEL,
+                                                                 T, 4)
+        assert gamma_crossing(GOLDEN, T, 4.0) == gamma_crossing(GOLDEN, T, 4)
 
 
 class TestKChainGain:
