@@ -42,7 +42,8 @@ from .estimate import (analytic_certification, certify_vk, mc_rmse,
                        sample_binary)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
-from .witness import gamma_crossing, k_chain_gain, nsit_separation_demo
+from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
+                      k_chain_gain, nsit_separation_demo, v_path)
 
 # Metadata key holding the only non-reproducible field; comparisons between
 # runs must drop it.
@@ -354,13 +355,11 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
     t_ac = _parse_grid(params["grid"], "--grid")
     t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_end = model.fi(t_ac[:, None] + t_cb)
-        f_ac = model.fi(t_ac)[:, None]
-        f_cb = model.fi(t_cb)
-        v = 1.0 / f_end - 1.0 / f_ac - 1.0 / f_cb
-        f_cl = 1.0 / (1.0 / f_ac + 1.0 / f_cb)
-        g = 0.5 * (np.log(f_cl) - np.log(f_end))
+    f_end = model.fi(t_ac[:, None] + t_cb)
+    f_ac = model.fi(t_ac)[:, None]
+    f_cb = model.fi(t_cb)
+    v = v_path(f_end, f_ac, f_cb)
+    g = gain_indicator(f_end, classical_benchmark_path(f_ac, f_cb))
     v = np.clip(v, -params["clip_v"], params["clip_v"])
     g = np.clip(g, -params["clip_g"], params["clip_g"])
     return ResultTable({"theta_ac": np.repeat(t_ac, t_cb.size),

@@ -295,9 +295,13 @@ def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
             seed: int, *path: int, vartheta: float = 0.0) -> float:
     """Root-mean-square error of the fringe MLE over seeded replications of
     an n-shot experiment at theta_true, drawn from the stream
-    (seed, 3, *path)."""
+    (seed, 3, *path).  The MLE inverts z = cos(theta - vartheta) only: a
+    model with another fringe is refused."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
+    grid = np.arange(64) * (2.0 * math.pi / 64)
+    if np.max(np.abs(model.z(grid) - np.cos(grid - vartheta))) > 1e-12:
+        raise ValueError(f"the MLE inverts z = cos(theta - {vartheta}) only")
     p0 = float(model.p0(theta_true))
     rng = derive_rng(seed, _TAG_RMSE, *path)
     theta_hat = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta)
@@ -336,6 +340,6 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     f_seg = np.column_stack([fhat(1 + j, *segment) for j in range(k)])
     if not ((f_end > 0.0).all() and (f_seg > 0.0).all()):
         raise EstimationError("zero plug-in FI estimate; witness undefined")
-    v = 1.0 / f_end - (1.0 / f_seg).sum(axis=1)
+    v = v_chain(f_end, f_seg)
     lo, hi = np.quantile(v, [0.025, 0.975])
     return float(v.mean()), (float(lo), float(hi))

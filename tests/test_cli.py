@@ -240,7 +240,16 @@ class TestLandscapeCommand:
             "landscape", "--vartheta", "0.5", "--varphi", "0",
             "--grid", "0:1:2"])
         assert code == 3 and out == ""
-        assert "NaN" in err
+        assert "f_ab must be > 0" in err
+
+    def test_dead_segment_is_not_a_violation(self, capsys):
+        # F_ac = 0 at theta_ac = 0: the cell is undefined, not a violation
+        code, out, err = run_cli(capsys, [
+            "landscape", "--vartheta", "0.5", "--varphi", "0",
+            "--grid", "0:1:2", "--grid-cb", "0.5:1:2"])
+        assert (code, out) == (3, "")
+        assert err == ("cfii: numerical degeneracy: "
+                       "f_ac must be > 0, got 0.0\n")
 
 
 class TestCertifyCommand:
@@ -320,7 +329,8 @@ class TestCertifyCommand:
         # not a falsification or a traceback
         for argv in (["--seed", "1", "--t-total", "0"],
                      ["--seed", "1", "--shots", "1"],
-                     ["--gamma-grid", "0:0.6:3", "--t-total", "0"]):
+                     ["--gamma-grid", "0:0.6:3", "--t-total", "0"],
+                     ["--gamma-grid", "0:0.5:2", "--k", "1000001"]):
             code, out, err = run_cli(capsys, ["certify", *argv])
             assert code == 2 and out == ""
             assert err.startswith("cfii: config error:")
@@ -384,14 +394,25 @@ class TestRmseCommand:
             math.sqrt(2.0) * record["crb"], rel=1e-15)
         assert 0.05 < record["rmse"] < 0.2
 
-    def test_noisy_model_supported(self, capsys):
-        code, out, _ = run_cli(capsys, [
+    def test_damped_fringe_refused(self, capsys):
+        # the MLE inverts cos(theta - vartheta0) only: it would be biased
+        code, out, err = run_cli(capsys, [
             "rmse", "--model", "noisy", "--theta", PI_2, "--seed", "3",
+            "--n-grid", "200:200:2", "--reps", "100"])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert "the MLE inverts z = cos(theta - 0.0) only" in err
+
+    def test_noisy_model_supported(self, capsys):
+        # the lossless noisy fringe is cos(theta - vartheta0)
+        code, out, _ = run_cli(capsys, [
+            "rmse", "--model", "noisy", "--gamma", "0", "--eps-r", "0",
+            "--vartheta0", "0.4", "--theta", PI_2, "--seed", "3",
             "--n-grid", "200:200:2", "--reps", "100"])
         assert code == 0
         _, columns, rows = parse_csv(out)
         assert len(rows) == 1
-        f = NoisyFringeModel(GOLDEN).fi(math.pi / 2)
+        f = NoisyFringeModel(NoisyFringeParams(
+            gamma=0.0, epsilon_r=0.0, vartheta0=0.4)).fi(math.pi / 2)
         record = dict(zip(columns, map(float, rows[0])))
         assert record["crb"] == pytest.approx(1.0 / math.sqrt(200 * f),
                                               rel=1e-12)
@@ -449,8 +470,9 @@ class TestChainCommand:
     def test_validation(self, capsys):
         assert run_cli(capsys, ["chain", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["chain", "--gamma-grid=-0.1:0.5:3"])[0] == 2
-        for total in ("nan", "inf"):
-            code, out, err = run_cli(capsys, ["chain", "--t-total", total])
+        for argv in (["--t-total", "nan"], ["--t-total", "inf"],
+                     ["--k", "1000001"]):
+            code, out, err = run_cli(capsys, ["chain", *argv])
             assert (code, out) == (2, "") and err.count("\n") == 1
 
 
@@ -482,8 +504,9 @@ class TestCrossingCommand:
     def test_validation(self, capsys):
         assert run_cli(capsys, ["crossing", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["crossing", "--gamma-max", "0"])[0] == 2
-        for total in ("nan", "inf"):
-            code, out, err = run_cli(capsys, ["crossing", "--t-total", total])
+        for argv in (["--t-total", "nan"], ["--t-total", "inf"],
+                     ["--k", "1000001"]):
+            code, out, err = run_cli(capsys, ["crossing", *argv])
             assert (code, out) == (2, "") and err.count("\n") == 1
 
 

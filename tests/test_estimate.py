@@ -51,7 +51,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_binary(NOISY, 0.7, 10, 1, 0.5)
         with pytest.raises(ValueError):
-            mc_rmse(NOISY, 0.7, 100, 10, seed=1.9)
+            mc_rmse(IDEAL, 0.7, 100, 10, seed=1.9)
 
     def test_derive_rng_takes_integral_values_only(self):
         draws = derive_rng(3, 1, 4).random(4)
@@ -212,7 +212,7 @@ class TestAnalyticCertification:
         for t_total in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 analytic_certification(NOISY, t_total, 4, 100)
-        for k in (2.5, math.nan, "4"):
+        for k in (2.5, math.nan, "4", 10 ** 6 + 1):
             with pytest.raises(ValueError):
                 analytic_certification(NOISY, T, k, 100)
         assert (analytic_certification(NOISY, T, 4.0, 100)
@@ -368,7 +368,7 @@ class TestMonteCarlo:
         for t_total in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 mc_vk_distribution(GOLDEN, t_total, 4, 100, reps=10, seed=1)
-        for k in (2.5, math.nan):
+        for k in (2.5, math.nan, 10 ** 6 + 1):
             with pytest.raises(ValueError):
                 mc_vk_distribution(GOLDEN, T, k, 100, reps=10, seed=1)
         with pytest.raises(ValueError):

@@ -89,6 +89,64 @@ class TestBenchmarkAndIndicators:
             improvement_factor(-2.0, 2.0)
 
 
+class TestArrayArguments:
+    """The witness functions broadcast over arrays; each entry is bitwise
+    the scalar call on that entry."""
+
+    @staticmethod
+    def fis(*shape):
+        return np.random.default_rng(8).uniform(0.05, 3.0, shape)
+
+    @staticmethod
+    def assert_bitwise(array, scalars):
+        expected = np.array(scalars, dtype=float).reshape(np.shape(array))
+        assert np.asarray(array).tobytes() == expected.tobytes()
+
+    def test_v_path(self):
+        f_ab, f_ac, f_cb = self.fis(5, 7), self.fis(5, 1) + 0.1, self.fis(7)
+        self.assert_bitwise(v_path(f_ab, f_ac, f_cb), [
+            [v_path(float(f_ab[i, j]), float(f_ac[i, 0]), float(f_cb[j]))
+             for j in range(7)] for i in range(5)])
+
+    @pytest.mark.parametrize("k", [3, 11])
+    def test_v_chain_segments_on_the_last_axis(self, k):
+        f_end, f_seg = self.fis(6), self.fis(6, k) + 0.2
+        self.assert_bitwise(v_chain(f_end, f_seg), [
+            v_chain(float(f_end[i]), f_seg[i].tolist()) for i in range(6)])
+
+    def test_benchmark_and_gain_indicator(self):
+        f_ac, f_cb, f_end = self.fis(4, 1), self.fis(9), self.fis(4, 9) + 0.3
+        f_cl = classical_benchmark_path(f_ac, f_cb)
+        self.assert_bitwise(f_cl, [
+            [classical_benchmark_path(float(f_ac[i, 0]), float(f_cb[j]))
+             for j in range(9)] for i in range(4)])
+        self.assert_bitwise(gain_indicator(f_end, f_cl), [
+            [gain_indicator(float(f_end[i, j]), float(f_cl[i, j]))
+             for j in range(9)] for i in range(4)])
+
+    def test_messages_name_the_first_bad_entry(self):
+        ones = np.ones((2, 3))
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_ac must be > 0, got 0\.0$"):
+            v_path(ones, np.array([[1.0], [0.0]]), np.array([1.0, 1.0, -2.0]))
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_cb must be > 0, got -2\.0$"):
+            classical_benchmark_path(ones, np.array([1.0, -2.0, 0.0]))
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_benchmark must be > 0, got nan$"):
+            gain_indicator(ones, np.array([[1.0, 1.0, 1.0],
+                                           [1.0, math.nan, 0.0]]))
+        # C order: row 0 comes before row 1, whose segment 0 is also bad
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_segment_2 must be > 0, got 0\.0$"):
+            v_chain(np.ones(2), np.array([[1.0, 2.0, 0.0], [-1.0, 2.0, 3.0]]))
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_end must be > 0, got -1\.0$"):
+            v_chain(np.array([1.0, -1.0]), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="at least one segment"):
+            v_chain(np.ones(2), np.ones((2, 0)))
+
+
 class TestSplitOptimizedBenchmark:
     def test_constant_fi_prefers_symmetric_split(self):
         f, lam = split_optimized_benchmark(IDEAL_MODEL, 1.7)
@@ -127,7 +185,7 @@ class TestSplitOptimizedBenchmark:
             with pytest.raises(ValueError):
                 gamma_crossing(GOLDEN, total, 4)
         # k is an integral value >= 2; an integral float acts as that int
-        for k in (2.5, 1.0, math.nan, math.inf, "4"):
+        for k in (2.5, 1.0, math.nan, math.inf, "4", 10 ** 6 + 1):
             with pytest.raises(ValueError):
                 k_chain_gain(IDEAL_MODEL, T, k)
             with pytest.raises(ValueError):
