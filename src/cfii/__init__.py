@@ -33,7 +33,8 @@ from .adversary import (AdversaryParams, OptimizeResult, endpoint_fim,
 from .errors import (BranchWarning, CfiiError, DegenerateBenchmarkError,
                      DegenerateModelError, EstimationError, NoCrossingError,
                      NonPositiveFiError, NonStochasticChannelError,
-                     NotPositiveDefiniteError, OptimizationError)
+                     NotPositiveDefiniteError, OptimizationError,
+                     ResistanceOverflowError)
 from .estimate import (CertificationReport, ContextSample, FiEstimate,
                        analytic_certification, analytic_mu4, certify_vk,
                        classifier_fi, classifier_score, fi_estimate_variance,
@@ -57,7 +58,7 @@ __all__ = [
     "CfiiError", "DegenerateModelError", "NonPositiveFiError",
     "NotPositiveDefiniteError", "NonStochasticChannelError",
     "OptimizationError", "NoCrossingError", "DegenerateBenchmarkError",
-    "EstimationError", "BranchWarning",
+    "EstimationError", "ResistanceOverflowError", "BranchWarning",
     # rng
     "derive_rng",
     # models

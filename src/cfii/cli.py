@@ -49,6 +49,11 @@ from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
 # runs must drop it.
 WALLCLOCK_KEY = "wallclock"
 
+# Most points of a grid, and most rows of a table, that a command builds; a
+# larger request is refused before any array is allocated.  A 1000 x 1000
+# landscape takes about 5.5 s and 0.55 GB on a 2-vCPU box.
+MAX_ROWS = 10 ** 6
+
 
 class ConfigError(Exception):
     """Invalid command-line flags or config-file contents (exit code 2)."""
@@ -315,9 +320,19 @@ def _split_grid(spec: str, name: str) -> tuple[float, float, int]:
         raise ConfigError(f"{name}: cannot parse {spec!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ConfigError(f"{name} endpoints must be finite, got {spec!r}")
-    if n < 2:
-        raise ConfigError(f"{name} needs at least 2 points, got {n}")
+    if not 2 <= n <= MAX_ROWS:
+        raise ConfigError(f"{name} needs 2 to {MAX_ROWS} points, got {n}")
     return a, b, n
+
+
+def _product_columns(outer: np.ndarray,
+                     inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key columns of the outer x inner table, outer-major; a table of
+    more than MAX_ROWS rows is refused before either is built."""
+    if outer.size * inner.size > MAX_ROWS:
+        raise ConfigError(f"a {outer.size} x {inner.size} table exceeds "
+                          f"{MAX_ROWS} rows")
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
 def _model_from(params: dict) -> BinaryModel:
@@ -354,7 +369,7 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("clip-v and clip-g must be > 0")
     t_ac = _parse_grid(params["grid"], "--grid")
     t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb")
-
+    theta_ac, theta_cb = _product_columns(t_ac, t_cb)
     f_end = model.fi(t_ac[:, None] + t_cb)
     f_ac = model.fi(t_ac)[:, None]
     f_cb = model.fi(t_cb)
@@ -362,8 +377,7 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
     g = gain_indicator(f_end, classical_benchmark_path(f_ac, f_cb))
     v = np.clip(v, -params["clip_v"], params["clip_v"])
     g = np.clip(g, -params["clip_g"], params["clip_g"])
-    return ResultTable({"theta_ac": np.repeat(t_ac, t_cb.size),
-                        "theta_cb": np.tile(t_cb, t_ac.size),
+    return ResultTable({"theta_ac": theta_ac, "theta_cb": theta_cb,
                         "v": v.ravel(), "g": g.ravel()})
 
 
@@ -411,8 +425,7 @@ def _certify_sweep(params: dict) -> ResultTable:
               if params["gamma_grid"] else np.array([params["gamma"]]))
     shots = (_parse_int_geom_grid(params["shots_grid"], "--shots-grid")
              if params["shots_grid"] else np.array([params["shots"]]))
-    gamma_col = np.repeat(gammas, shots.size)
-    shots_col = np.tile(shots, gammas.size)
+    gamma_col, shots_col = _product_columns(gammas, shots)
     reports = [analytic_certification(_noisy(params, gamma),
                                       params["t_total"], params["k"], n)
                for gamma, n in zip(gamma_col.tolist(), shots_col.tolist())]
@@ -466,8 +479,7 @@ def cmd_chain(config: ExperimentConfig) -> ResultTable:
     ks = (_parse_int_lin_grid(params["k_grid"], "--k-grid")
           if params["k_grid"] else np.array([params["k"]]))
     t_total = params["t_total"]
-    k_col = np.repeat(ks, gammas.size)
-    gamma_col = np.tile(gammas, ks.size)
+    k_col, gamma_col = _product_columns(ks, gammas)
     pairs = list(zip(k_col.tolist(), gamma_col.tolist()))
     reports = [k_chain_gain(_noisy(params, gamma), t_total, k)
                for k, gamma in pairs]

@@ -19,6 +19,11 @@ class NonPositiveFiError(CfiiError, ValueError):
     """A Fisher information that must be strictly positive is not."""
 
 
+class ResistanceOverflowError(CfiiError, ValueError):
+    """A Fisher information is positive but too small to invert: its inverse
+    (an information resistance), or a sum of such inverses, overflows."""
+
+
 class NotPositiveDefiniteError(CfiiError, ValueError):
     """A joint information matrix fails positive definiteness."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BranchWarning, DegenerateModelError, EstimationError
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
-from .rng import derive_rng
+from .rng import derive_rng, require_integral
 from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
@@ -42,22 +42,18 @@ _TAG_VK = 4
 
 @dataclass(frozen=True)
 class ContextSample:
-    """Outcomes of n shots of one measurement context at angle theta."""
+    """Outcome counts of one measurement context at angle theta: n0 of its
+    n shots gave outcome 0."""
 
     theta: float
-    outcomes: np.ndarray
+    n: int
+    n0: int
 
     def __post_init__(self) -> None:
-        out = np.asarray(self.outcomes, dtype=np.int8)
-        if out.ndim != 1 or out.size < 1:
-            raise ValueError("outcomes must be a nonempty 1-D sequence")
-        if np.any((out != 0) & (out != 1)):
-            raise ValueError("outcomes must be 0 or 1")
-        object.__setattr__(self, "outcomes", out)
-
-    @property
-    def n(self) -> int:
-        return self.outcomes.size
+        if not (require_integral(self.n, "n") >= 1
+                and 0 <= require_integral(self.n0, "n0") <= self.n):
+            raise ValueError("need n >= 1 and 0 <= n0 <= n, got "
+                             f"n = {self.n}, n0 = {self.n0}")
 
 
 @dataclass(frozen=True)
@@ -88,15 +84,16 @@ class CertificationReport:
 
 def sample_binary(model: BinaryModel, theta: float, n: int, seed: int,
                   *path: int) -> ContextSample:
-    """Draw n outcomes with P(x=0) = p0(theta) from stream (seed, 1, *path)."""
+    """Count the outcome-0 shots among n draws with P(x=0) = p0(theta) from
+    stream (seed, 1, *path)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p0 = float(model.p0(theta))
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must lie in [0, 1], got {p0}")
     rng = derive_rng(seed, _TAG_SAMPLE, *path)
-    outcomes = (rng.random(n) >= p0).astype(np.int8)
-    return ContextSample(theta=float(theta), outcomes=outcomes)
+    n0 = int(np.count_nonzero(rng.random(n) < p0))
+    return ContextSample(theta=float(theta), n=n, n0=n0)
 
 
 def _score_mean(n0, n: int, s0: float, s1: float):
@@ -124,10 +121,13 @@ def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     A single-shot sample cannot estimate a variance; it reports 0 with the
     degenerate flag set.
     """
-    n0 = sample.n - int(sample.outcomes.sum())
-    return _plugin_estimate(n0, sample.n,
-                            float(model.score(0, sample.theta)),
-                            float(model.score(1, sample.theta)))
+    return _plugin_estimate(sample.n0, sample.n,
+                            *_scores(model, sample.theta))
+
+
+def _scores(model: BinaryModel, theta: float) -> tuple[float, float]:
+    """The scores (s0, s1) of the two outcomes at theta."""
+    return float(model.score(0, theta)), float(model.score(1, theta))
 
 
 def analytic_mu4(model: BinaryModel, theta: float) -> float:
@@ -139,53 +139,54 @@ def analytic_mu4(model: BinaryModel, theta: float) -> float:
     p1 = float(model.p1(theta))
     if p0 <= 0.0 or p1 <= 0.0:
         raise DegenerateModelError("mu4 undefined at a degenerate point")
-    s0 = float(model.score(0, theta))
-    s1 = float(model.score(1, theta))
+    s0, s1 = _scores(model, theta)
     return p0 * s0 ** 4 + p1 * s1 ** 4
 
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
-    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator.
+    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
+    return _fi_moments(model, theta, n)[1]
 
-    mu4 >= F^2 always (Jensen), with equality at mid-fringe points where the
-    squared score is outcome-independent; there the subtraction can round to
-    a tiny negative number, so clamp at zero.
-    """
+
+def _fi_moments(model: BinaryModel, theta: float,
+                n: int) -> tuple[float, float]:
+    """F at theta and the analytic variance (mu4 - F^2)/n of its n-shot
+    plug-in estimator.  mu4 >= F^2 (Jensen), with equality where the squared
+    score is outcome-independent; the subtraction can round below 0 there,
+    so it is clamped at 0."""
     f = float(model.fi(theta))
-    return max(0.0, (analytic_mu4(model, theta) - f * f) / n)
+    return f, max(0.0, (analytic_mu4(model, theta) - f * f) / n)
 
 
 def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
-               models: BinaryModel | Sequence[BinaryModel],
+               model: BinaryModel,
                se_mode: str = "empirical") -> CertificationReport:
-    """Estimate the chain witness from sampled contexts and attach a
-    delta-method standard error.
+    """Estimate the chain witness from sampled contexts of one model and
+    attach a delta-method standard error.
 
-    `models` is either one model shared by all contexts or a list aligned
-    with [endpoint, *segments].  se_mode selects how per-context estimator
-    variances are computed: "empirical" from the samples, "analytic-moment"
-    from the model's exact moments at each context angle.
+    se_mode selects how per-context estimator variances are computed:
+    "empirical" from the samples, "analytic-moment" from the model's exact
+    moments at each context angle.  The model is evaluated once per
+    distinct angle (and shot count), however many contexts share it.
     """
     if len(segments) == 0:
         raise EstimationError("need at least one segment context")
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
     contexts = [endpoint, *segments]
-    if isinstance(models, BinaryModel):
-        models = [models] * len(contexts)
-    if len(models) != len(contexts):
-        raise ValueError(f"got {len(models)} models for {len(contexts)} contexts")
-
-    estimates = [plugin_fi(s, m) for s, m in zip(contexts, models)]
+    scores = {theta: _scores(model, theta)
+              for theta in {s.theta for s in contexts}}
+    estimates = [_plugin_estimate(s.n0, s.n, *scores[s.theta])
+                 for s in contexts]
     if any(e.value <= 0.0 for e in estimates):
         raise EstimationError("zero plug-in FI estimate; witness undefined")
 
     if se_mode == "empirical":
         moments = [(e.value, e.variance) for e in estimates]
     else:
-        moments = [(float(m.fi(s.theta)),
-                    fi_estimate_variance(m, s.theta, s.n))
-                   for s, m in zip(contexts, models)]
+        analytic = {key: _fi_moments(model, *key)
+                    for key in {(s.theta, s.n) for s in contexts}}
+        moments = [analytic[s.theta, s.n] for s in contexts]
     return _report(estimates, moments, se_mode)
 
 
@@ -198,8 +199,7 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     if n_per_context < 2:
         raise ValueError("need n_per_context >= 2")
     endpoint, segment = [
-        FiEstimate(value=float(model.fi(theta)), n=n_per_context,
-                   variance=fi_estimate_variance(model, theta, n_per_context))
+        FiEstimate(*_fi_moments(model, theta, n_per_context), n=n_per_context)
         for theta in (t_total, t_total / k)]
     estimates = [endpoint] + [segment] * k
     return _report(estimates, [(e.value, e.variance) for e in estimates],
@@ -325,8 +325,7 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     model = NoisyFringeModel(params)
 
     def context(theta: float) -> tuple[float, float, float]:
-        return (float(model.p0(theta)), float(model.score(0, theta)),
-                float(model.score(1, theta)))
+        return (float(model.p0(theta)), *_scores(model, theta))
 
     def fhat(stream: int, p0: float, s0: float, s1: float) -> np.ndarray:
         rng = derive_rng(seed, _TAG_VK, stream)

@@ -15,7 +15,8 @@ The K-segment generalization sums the chain resistances, the split-optimized
 benchmark maximizes the harmonic composition over the intermediate time, and
 `gamma_crossing` locates the dephasing rate at which the chain advantage
 Gamma_K drops to 1.  The witness, benchmark and indicator functions take
-arrays of FIs that broadcast together, and refuse any FI that is not > 0.
+arrays of FIs that broadcast together, and refuse any FI that is not > 0,
+or whose inverse (or a sum of inverses) overflows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateBenchmarkError, NoCrossingError,
-                     NonPositiveFiError, OptimizationError)
+                     NonPositiveFiError, OptimizationError,
+                     ResistanceOverflowError)
 from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                      NoisyFringeParams, QubitFringeModel, QubitPreparation,
                      categorical_product)
@@ -62,8 +64,8 @@ class WitnessReport:
 def v_path(f_ab, f_ac, f_cb):
     """Path witness 1/f_ab - 1/f_ac - 1/f_cb; negative values are
     unreachable by classical split protocols."""
-    _require_positive(f_ab=f_ab, f_ac=f_ac, f_cb=f_cb)
-    return 1.0 / f_ab - 1.0 / f_ac - 1.0 / f_cb
+    return _series(lambda r_ab, r_ac, r_cb: r_ab - r_ac - r_cb,
+                   f_ab=f_ab, f_ac=f_ac, f_cb=f_cb)
 
 
 def v_chain(f_end, f_segments):
@@ -72,15 +74,14 @@ def v_chain(f_end, f_segments):
     f_seg = np.asarray(f_segments, dtype=float)
     if f_seg.ndim == 0 or f_seg.shape[-1] == 0:
         raise ValueError("need at least one segment")
-    _require_positive(f_end=f_end, f_segment_=f_seg)
-    return 1.0 / f_end - np.sum(1.0 / f_seg, axis=-1)
+    return _series(lambda r_end, r_seg: r_end - np.sum(r_seg, axis=-1),
+                   f_end=f_end, f_segment_=f_seg)
 
 
 def classical_benchmark_path(f_ac, f_cb):
     """Harmonic composition (1/f_ac + 1/f_cb)^(-1): the best end-to-end FI a
     classical two-segment protocol can reach."""
-    _require_positive(f_ac=f_ac, f_cb=f_cb)
-    return 1.0 / (1.0 / f_ac + 1.0 / f_cb)
+    return 1.0 / _series(lambda r_ac, r_cb: r_ac + r_cb, f_ac=f_ac, f_cb=f_cb)
 
 
 def gain_indicator(f_end, f_benchmark):
@@ -288,6 +289,25 @@ def _require_chain(k, total: float, name: str) -> int:
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(f"need a finite {name} > 0, got {total}")
     return k
+
+
+def _series(compose, **named):
+    """compose(*inverses) of the inverses 1/F of the named FIs, after
+    _require_positive.  A result that is not finite raises
+    ResistanceOverflowError, naming the FIs too small to invert, or else
+    all the FIs whose inverses were summed, instead of letting numpy warn."""
+    _require_positive(**named)
+    with np.errstate(over="ignore"):
+        inverses = [1.0 / value for value in named.values()]
+        series = compose(*inverses)
+    if not np.isfinite(series).all():
+        names = [name.rstrip("_") for name in named]
+        small = [name for name, inverse in zip(names, inverses)
+                 if not np.isfinite(inverse).all()]
+        raise ResistanceOverflowError(
+            f"1/F overflows for {', '.join(small)}" if small else
+            f"the sum of 1/F over {', '.join(names)} overflows")
+    return series
 
 
 def _require_positive(**named) -> None:

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfii import cli
 from cfii.adversary import optimize_restarts
-from cfii.cli import _SPECS, ConfigError, ResultTable, build_config, main
+from cfii.cli import (_SPECS, MAX_ROWS, ConfigError, ResultTable,
+                      build_config, main)
 from cfii.estimate import analytic_certification, plugin_fi, sample_binary
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
@@ -250,6 +252,52 @@ class TestLandscapeCommand:
         assert (code, out) == (3, "")
         assert err == ("cfii: numerical degeneracy: "
                        "f_ac must be > 0, got 0.0\n")
+
+
+    def test_overflowing_resistance_is_not_a_violation(self, capsys):
+        # F_ac ~ 3e-310 > 0 at theta_ac = 1e-155, but 1/F_ac overflows
+        code, out, err = run_cli(capsys, [
+            "landscape", "--vartheta", "0.5", "--varphi", "0",
+            "--grid", "1e-155:1:2", "--grid-cb", "0.5:1:2"])
+        assert (code, out) == (3, "")
+        assert err == "cfii: numerical degeneracy: 1/F overflows for f_ac\n"
+
+
+class TestTableBound:
+    """Grids of more than MAX_ROWS points, and product tables of more than
+    MAX_ROWS rows, are refused before any row is computed."""
+
+    @pytest.mark.parametrize("argv, message, computes", [
+        (["landscape", "--grid", "0.05:6:100000"],
+         "a 100000 x 100000 table exceeds 1000000 rows", "v_path"),
+        (["landscape", "--grid", "0:1:1001", "--grid-cb", "0:1:1000"],
+         "a 1001 x 1000 table exceeds 1000000 rows", "v_path"),
+        (["fi", "--grid", "0:1:1000001"],
+         "--grid needs 2 to 1000000 points, got 1000001", None),
+        (["chain", "--gamma-grid", "0:0.6:1000001"],
+         "--gamma-grid needs 2 to 1000000 points, got 1000001",
+         "k_chain_gain"),
+        (["chain", "--gamma-grid", "0:0.6:1001", "--k-grid", "2:1001:1000"],
+         "a 1000 x 1001 table exceeds 1000000 rows", "k_chain_gain"),
+        (["certify", "--gamma-grid", "0:0.6:1000001"],
+         "--gamma-grid needs 2 to 1000000 points, got 1000001",
+         "analytic_certification"),
+        (["certify", "--gamma-grid", "0:0.6:1000000",
+          "--shots-grid", "100:200:2"],
+         "a 1000000 x 2 table exceeds 1000000 rows",
+         "analytic_certification"),
+    ])
+    def test_refused_with_one_line(self, capsys, monkeypatch, argv, message,
+                                   computes):
+        assert MAX_ROWS == 10 ** 6
+
+        def computed(*args, **kwargs):
+            raise AssertionError(f"{computes} ran on a refused table")
+        if computes:
+            monkeypatch.setattr(cli, computes, computed)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"cfii: config error: {message}\n"
 
 
 class TestCertifyCommand:

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cfii.errors import (DegenerateBenchmarkError, NoCrossingError,
-                         NonPositiveFiError)
+                         NonPositiveFiError, ResistanceOverflowError)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.witness import (classical_benchmark_path, gain_indicator,
@@ -145,6 +145,33 @@ class TestArrayArguments:
             v_chain(np.array([1.0, -1.0]), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="at least one segment"):
             v_chain(np.ones(2), np.ones((2, 0)))
+
+
+class TestResistanceOverflow:
+    """A positive FI whose inverse, or a sum of inverses, overflows is
+    refused (no warning) instead of composing to an infinite witness."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: v_path(1.0, 1e-308, 1e-308),
+         r"^the sum of 1/F over f_ab, f_ac, f_cb overflows$"),
+        (lambda: classical_benchmark_path(1e-308, 1e-308),
+         r"^the sum of 1/F over f_ac, f_cb overflows$"),
+        (lambda: v_chain(1.0, [1e-308] * 3),
+         r"^the sum of 1/F over f_end, f_segment overflows$"),
+        (lambda: v_path(1.0, 3e-310, 1.0), r"^1/F overflows for f_ac$"),
+        (lambda: classical_benchmark_path(np.ones(3),
+                                          np.array([1.0, 3e-310, 1.0])),
+         r"^1/F overflows for f_cb$"),
+        (lambda: v_chain(np.ones(2), [[1.0, 1.0], [1.0, 3e-310]]),
+         r"^1/F overflows for f_segment$"),
+    ])
+    def test_refused(self, call, match):
+        with pytest.raises(ResistanceOverflowError, match=match):
+            call()
+
+    def test_largest_finite_inverses_pass(self):
+        assert v_path(1.0, 1e-308, 1.0) == pytest.approx(-1e308)
+        assert classical_benchmark_path(1e-308, 1.0) == pytest.approx(1e-308)
 
 
 class TestSplitOptimizedBenchmark:
