@@ -290,6 +290,10 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
         if t > steps:  # the final iterate is evaluated, not stepped
             break
         grad = _backward(ctx)
+        if not (grad.any() or m1.any()):
+            # each later Adam step is 0 (an all-blind batch): theta repeats
+            trajectory += [gamma] * (steps + 1 - t)
+            break
         m1 = 0.9 * m1 + 0.1 * grad
         m2 = 0.999 * m2 + 0.001 * grad ** 2
         step = (m1 / (1.0 - 0.9 ** t)) / (np.sqrt(m2 / (1.0 - 0.999 ** t)) + 1e-8)

@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__
 from .adversary import optimize_restarts
 from .errors import CfiiError
-from .estimate import (analytic_certification, certify_vk, mc_rmse,
-                       sample_binary)
+from .estimate import (_sample_contexts, analytic_certification, certify_vk,
+                       mc_rmse)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
 from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
@@ -405,10 +405,10 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
     model = _noisy(params, params["gamma"])
     # first, so that bad t_total, k or shots stop the run before any sampling
     expected = analytic_certification(model, t_total, k, n)
-    endpoint = sample_binary(model, t_total, n, seed, 0)
-    segments = [sample_binary(model, t_total / k, n, seed, 1 + j)
-                for j in range(k)]
-    report = certify_vk(endpoint, segments, model, se_mode=params["se_mode"])
+    contexts = _sample_contexts(model, [t_total] + [t_total / k] * k, n, seed,
+                                [(j,) for j in range(k + 1)])
+    report = certify_vk(contexts[0], contexts[1:], model,
+                        se_mode=params["se_mode"])
     return _quantities({
         "v_hat": report.v_hat, "se": report.se, "z": report.z,
         "ci95_lo": report.ci95[0], "ci95_hi": report.ci95[1],

@@ -27,11 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BranchWarning, DegenerateModelError, EstimationError
-from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
+from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams, _score
 from .rng import derive_rng, require_integral
 from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
+
+# Most shots a sampled context draws, and most replications of mc_rmse.
+MAX_SHOTS = 10 ** 7
+MAX_REPS = 10 ** 6
 
 # RNG path tags (see rng.py).
 _TAG_SAMPLE = 1
@@ -86,32 +90,82 @@ def sample_binary(model: BinaryModel, theta: float, n: int, seed: int,
                   *path: int) -> ContextSample:
     """Count the outcome-0 shots among n draws with P(x=0) = p0(theta) from
     stream (seed, 1, *path)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    p0 = float(model.p0(theta))
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
-    rng = derive_rng(seed, _TAG_SAMPLE, *path)
-    n0 = int(np.count_nonzero(rng.random(n) < p0))
-    return ContextSample(theta=float(theta), n=n, n0=n0)
+    return _sample_contexts(model, [theta], n, seed, [path])[0]
 
 
-def _score_mean(n0, n: int, s0: float, s1: float):
-    """Mean squared score over n0 zeros and n - n0 ones; n0 may be an
-    array of counts."""
-    return (n0 * (s0 * s0) + (n - n0) * (s1 * s1)) / n
+def _sample_contexts(model: BinaryModel, thetas: Sequence[float], n: int,
+                     seed: int, paths: Sequence[tuple[int, ...]]
+                     ) -> list[ContextSample]:
+    """sample_binary at each of thetas on the matching path, evaluating p0
+    once per distinct angle."""
+    if not 1 <= n <= MAX_SHOTS:
+        raise ValueError(f"n must lie in [1, {MAX_SHOTS}], got {n}")
+    p0 = {theta: float(model.p0(theta)) for theta in set(thetas)}
+    for p in p0.values():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p0 must lie in [0, 1], got {p}")
+    return [ContextSample(theta=float(theta), n=n, n0=int(np.count_nonzero(
+                derive_rng(seed, _TAG_SAMPLE, *path).random(n) < p0[theta])))
+            for theta, path in zip(thetas, paths)]
 
 
-def _plugin_estimate(n0: int, n: int, s0: float, s1: float) -> FiEstimate:
-    """plugin_fi from n0 zeros among n outcomes with scores s0 and s1."""
-    value = float(_score_mean(n0, n, s0, s1))
-    if n == 1:
-        return FiEstimate(value=value, variance=0.0, n=1, degenerate=True)
-    # two-valued data: sum of squared deviations = n0 n1 (sq0 - sq1)^2 / n,
-    # exactly zero when both outcomes carry the same squared score
-    gap = s0 * s0 - s1 * s1
-    return FiEstimate(value=value, n=n,
-                      variance=n0 * (n - n0) * gap * gap / (n * n * (n - 1)))
+def _certify(n, n0=None, scores=None, moments=None):
+    """The certification core over leading axes of replicated experiments.
+
+    Each row of the outcome-0 counts n0 (..., C) is one experiment on C
+    contexts with n (C,) shots, whose outcomes score scores = (s0, s1), each
+    (C,).  Returns the plug-in FI F_hat of each context with its variance
+    Var_hat, and, for C >= 2, the (V_hat, SE, Z) of each row, context 0
+    being the endpoint; SE^2 = sum Var / F^4 takes the analytic moments
+    (F, Var), each (C,), when given, and a zero F_hat raises
+    EstimationError.  Without counts the moments are F_hat and Var_hat: the
+    report the analytic certification expects.
+    """
+    if n0 is None:
+        f_hat, var_hat = moments
+    else:
+        n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
+        n1 = n - n0
+        sq0, sq1 = (s * s for s in scores)
+        f_hat = (n0 * sq0 + n1 * sq1) / n
+        # two-valued data: the sum of squared deviations is
+        # n0 n1 (sq0 - sq1)^2 / n, exactly 0 when both outcomes carry the
+        # same squared score.  n^2 (n - 1) rounds in float64 like the exact
+        # integer while n < 9e7 (and overflows int64); one shot gives 0
+        gap = sq0 - sq1
+        var_hat = n0 * n1 * gap * gap / np.where(
+            n > 1.0, n * n * (n - 1.0), 1.0)
+    if f_hat.shape[-1] < 2:
+        return f_hat, var_hat, None
+    if n0 is not None and not (f_hat > 0.0).all():
+        raise EstimationError("zero plug-in FI estimate; witness undefined")
+    f, var = (f_hat, var_hat) if moments is None else moments
+    v = v_chain(f_hat[..., 0], f_hat[..., 1:])
+    # left to right and with libm's pow: numpy's pairwise sum and its SIMD
+    # power differ in the last bit, and seeded reports are pinned to these
+    se = np.sqrt(np.cumsum(var / np.float_power(f, 4), axis=-1)[..., -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0.0, -v / se,
+                     np.where(v == 0.0, 0.0, np.copysign(np.inf, -v)))
+    return f_hat, var_hat, (v, se, z)
+
+
+def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
+    """FiEstimate of each context of one experiment; equal estimates share
+    one object, so a long chain holds few."""
+    keys = list(zip(f_hat.tolist(), var_hat.tolist(), n))
+    made = {key: FiEstimate(*key, degenerate=key[2] == 1)
+            for key in dict.fromkeys(keys)}
+    return tuple(made[key] for key in keys)
+
+
+def _report(n, f_hat, var_hat, witness, mode: str) -> CertificationReport:
+    """The report of one experiment from its _certify results."""
+    v, se, z = (float(x) for x in witness)
+    return CertificationReport(v_hat=v, se=se, z=z,
+                               ci95=(v - Z95 * se, v + Z95 * se),
+                               estimates=_estimates(n, f_hat, var_hat),
+                               mode=mode)
 
 
 def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
@@ -121,41 +175,49 @@ def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     A single-shot sample cannot estimate a variance; it reports 0 with the
     degenerate flag set.
     """
-    return _plugin_estimate(sample.n0, sample.n,
-                            *_scores(model, sample.theta))
+    n, scores = [sample.n], _scores(*_fringe(model, sample.theta))
+    return _estimates(n, *_certify(n, [sample.n0], scores)[:2])[0]
 
 
-def _scores(model: BinaryModel, theta: float) -> tuple[float, float]:
-    """The scores (s0, s1) of the two outcomes at theta."""
-    return float(model.score(0, theta)), float(model.score(1, theta))
+def _fringe(model: BinaryModel, theta: float) -> tuple[float, float]:
+    """z and zdot at theta: the one model evaluation per angle here."""
+    return float(model.z(theta)), float(model.zdot(theta))
+
+
+def _scores(z: float, zd: float) -> tuple[float, float]:
+    """The scores (s0, s1) at the fringe point (z, zdot)."""
+    return _score(0, z, zd), _score(1, z, zd)
 
 
 def analytic_mu4(model: BinaryModel, theta: float) -> float:
     """Fourth moment of the score, sum_x p_x s_x^4."""
-    zd = float(model.zdot(theta))
+    return _mu4(*_fringe(model, theta))
+
+
+def _mu4(z: float, zd: float) -> float:
+    """analytic_mu4 at the fringe point (z, zdot)."""
     if zd == 0.0:
         return 0.0
-    p0 = float(model.p0(theta))
-    p1 = float(model.p1(theta))
+    p0, p1 = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
     if p0 <= 0.0 or p1 <= 0.0:
         raise DegenerateModelError("mu4 undefined at a degenerate point")
-    s0, s1 = _scores(model, theta)
+    s0, s1 = _scores(z, zd)
     return p0 * s0 ** 4 + p1 * s1 ** 4
 
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
-    return _fi_moments(model, theta, n)[1]
+    return _moments(model, theta, *_fringe(model, theta), n)[1]
 
 
-def _fi_moments(model: BinaryModel, theta: float,
-                n: int) -> tuple[float, float]:
+def _moments(model: BinaryModel, theta: float, z: float, zd: float,
+             n: int) -> tuple[float, float]:
     """F at theta and the analytic variance (mu4 - F^2)/n of its n-shot
-    plug-in estimator.  mu4 >= F^2 (Jensen), with equality where the squared
-    score is outcome-independent; the subtraction can round below 0 there,
-    so it is clamped at 0."""
-    f = float(model.fi(theta))
-    return f, max(0.0, (analytic_mu4(model, theta) - f * f) / n)
+    plug-in estimator, from z and zdot there.  mu4 >= F^2 (Jensen), with
+    equality where the squared score is outcome-independent; the
+    subtraction can round below 0 there, so it is clamped at 0."""
+    f = float(model._fi(theta, z, zd))
+    return f, max(0.0, (_mu4(z, zd) - f * f) / n)
 
 
 def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
@@ -167,27 +229,25 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
     se_mode selects how per-context estimator variances are computed:
     "empirical" from the samples, "analytic-moment" from the model's exact
     moments at each context angle.  The model is evaluated once per
-    distinct angle (and shot count), however many contexts share it.
+    distinct angle, however many contexts share it.
     """
     if len(segments) == 0:
         raise EstimationError("need at least one segment context")
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
     contexts = [endpoint, *segments]
-    scores = {theta: _scores(model, theta)
+    fringe = {theta: _fringe(model, theta)
               for theta in {s.theta for s in contexts}}
-    estimates = [_plugin_estimate(s.n0, s.n, *scores[s.theta])
-                 for s in contexts]
-    if any(e.value <= 0.0 for e in estimates):
-        raise EstimationError("zero plug-in FI estimate; witness undefined")
-
-    if se_mode == "empirical":
-        moments = [(e.value, e.variance) for e in estimates]
-    else:
-        analytic = {key: _fi_moments(model, *key)
-                    for key in {(s.theta, s.n) for s in contexts}}
-        moments = [analytic[s.theta, s.n] for s in contexts]
-    return _report(estimates, moments, se_mode)
+    scores = {theta: _scores(*point) for theta, point in fringe.items()}
+    moments = None
+    if se_mode == "analytic-moment":
+        by_context = {(theta, n): _moments(model, theta, *fringe[theta], n)
+                      for theta, n in {(s.theta, s.n) for s in contexts}}
+        moments = np.array([by_context[s.theta, s.n] for s in contexts]).T
+    n = [s.n for s in contexts]
+    return _report(n, *_certify(
+        n, [s.n0 for s in contexts],
+        np.array([scores[s.theta] for s in contexts]).T, moments), se_mode)
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -198,28 +258,11 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     k = _require_chain(k, t_total, "t_total")
     if n_per_context < 2:
         raise ValueError("need n_per_context >= 2")
-    endpoint, segment = [
-        FiEstimate(*_fi_moments(model, theta, n_per_context), n=n_per_context)
-        for theta in (t_total, t_total / k)]
-    estimates = [endpoint] + [segment] * k
-    return _report(estimates, [(e.value, e.variance) for e in estimates],
-                   "analytic-moment")
-
-
-def _report(estimates: Sequence[FiEstimate],
-            moments: Sequence[tuple[float, float]],
-            mode: str) -> CertificationReport:
-    """Witness from the estimates; delta-method SE^2 = sum Var/F^4 over the
-    (F, Var) moments of the same contexts."""
-    v = v_chain(estimates[0].value, [e.value for e in estimates[1:]])
-    se = math.sqrt(sum(var / f ** 4 for f, var in moments))
-    if se > 0.0:
-        z = -v / se
-    else:
-        z = 0.0 if v == 0.0 else math.copysign(math.inf, -v)
-    return CertificationReport(v_hat=v, se=se, z=z,
-                               ci95=(v - Z95 * se, v + Z95 * se),
-                               estimates=tuple(estimates), mode=mode)
+    moments = np.repeat([
+        _moments(model, theta, *_fringe(model, theta), n_per_context)
+        for theta in (t_total, t_total / k)], [1, k], axis=0).T
+    n = [n_per_context] * (k + 1)
+    return _report(n, *_certify(n, moments=moments), "analytic-moment")
 
 
 def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int],
@@ -266,7 +309,8 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
                               (n_train - n1_m, n1_m), delta, alpha)
 
     n1_e = int(rng_e.binomial(n_eval, float(model.p1(theta))))
-    return _plugin_estimate(n_eval - n1_e, n_eval, s0, s1)
+    n = [n_eval]
+    return _estimates(n, *_certify(n, [n_eval - n1_e], (s0, s1))[:2])[0]
 
 
 def mle_theta(p0_hat: float, vartheta: float = 0.0) -> float:
@@ -299,6 +343,8 @@ def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
     model with another fringe is refused."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
+    if reps > MAX_REPS:
+        raise ValueError(f"reps must be at most {MAX_REPS}, got {reps}")
     grid = np.arange(64) * (2.0 * math.pi / 64)
     if np.max(np.abs(model.z(grid) - np.cos(grid - vartheta))) > 1e-12:
         raise ValueError(f"the MLE inverts z = cos(theta - {vartheta}) only")
@@ -323,22 +369,14 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     if n_per_context < 1 or reps < 1:
         raise ValueError("n_per_context and reps must be >= 1")
     model = NoisyFringeModel(params)
-
-    def context(theta: float) -> tuple[float, float, float]:
-        return (float(model.p0(theta)), *_scores(model, theta))
-
-    def fhat(stream: int, p0: float, s0: float, s1: float) -> np.ndarray:
-        rng = derive_rng(seed, _TAG_VK, stream)
-        n0 = rng.binomial(n_per_context, p0, size=reps)
-        return _score_mean(n0, n_per_context, s0, s1)
-
-    # the k segments share one angle: its moments are computed once, while
-    # each segment keeps its own stream (seed, 4, 1 + j)
-    segment = context(t_total / k)
-    f_end = fhat(0, *context(t_total))
-    f_seg = np.column_stack([fhat(1 + j, *segment) for j in range(k)])
-    if not ((f_end > 0.0).all() and (f_seg > 0.0).all()):
-        raise EstimationError("zero plug-in FI estimate; witness undefined")
-    v = v_chain(f_end, f_seg)
+    # one model evaluation per angle, the k segments sharing theirs, while
+    # each context j keeps its own stream (seed, 4, j)
+    segment, end = [(0.5 * (1.0 + z), *_scores(z, zd)) for z, zd in
+                    (_fringe(model, theta) for theta in (t_total / k, t_total))]
+    p0, s0, s1 = np.array([end] + [segment] * k).T
+    n0 = np.column_stack([
+        derive_rng(seed, _TAG_VK, j).binomial(n_per_context, p, size=reps)
+        for j, p in enumerate(p0.tolist())])
+    v = _certify(np.full(k + 1, n_per_context), n0, (s0, s1))[2][0]
     lo, hi = np.quantile(v, [0.025, 0.975])
     return float(v.mean()), (float(lo), float(hi))

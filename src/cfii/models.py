@@ -106,18 +106,16 @@ class BinaryModel(ABC):
         """Per-outcome score d ln p_x / d theta."""
         if x not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {x}")
-        sign = 1.0 if x == 0 else -1.0
-        denom = 1.0 + sign * self.z(theta)
-        if np.any(denom <= 0.0):
-            raise DegenerateModelError(
-                f"outcome {x} has zero probability; score undefined")
-        return sign * self.zdot(theta) / denom
+        return _score(x, self.z(theta), self.zdot(theta))
 
     def fi(self, theta):
         """Fisher information zdot^2 / (1 - z^2), with the continuous
         extension -z * zddot where 1 - z^2 underflows the tolerance."""
-        z = self.z(theta)
-        zd = self.zdot(theta)
+        return self._fi(theta, self.z(theta), self.zdot(theta))
+
+    def _fi(self, theta, z, zd):
+        """fi at theta from z and zdot there; zddot is evaluated only at a
+        singular point."""
         denom = 1.0 - z * z
         singular = np.abs(denom) < SINGULARITY_TOL
         if np.ndim(denom) == 0:
@@ -134,6 +132,17 @@ class BinaryModel(ABC):
         dp0 = 0.5 * float(self.zdot(theta))
         return CategoricalModel(np.array([p0, 1.0 - p0]),
                                 np.array([dp0, -dp0]))
+
+
+def _score(x: int, z, zd):
+    """Score d ln p_x / d theta of outcome x at a fringe point with mean z
+    and slope zd."""
+    sign = 1.0 if x == 0 else -1.0
+    denom = 1.0 + sign * z
+    if np.any(denom <= 0.0):
+        raise DegenerateModelError(
+            f"outcome {x} has zero probability; score undefined")
+    return sign * zd / denom
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cfii import adversary
 from cfii.adversary import (FI_FLOOR, AdversaryParams, _backward, _forward,
                             endpoint_fim, eval_kernels, gamma_adv,
                             gamma_adv_gradient, module_fis, optimize_restarts)
@@ -380,6 +381,32 @@ class TestOptimizeRestarts:
         result = optimize_restarts(2, 2, n_restarts=2, steps=30, seed=3)
         assert result.best_gamma == 0.0
         assert result.restart_gammas == (0.0, 0.0)
+
+    def test_blind_batch_stops_at_its_fixed_point(self, monkeypatch):
+        # an all-blind batch has zero gradients, so Adam never moves theta:
+        # its evaluations stop, and its trajectories keep steps + 1 entries
+        calls = []
+
+        def counted(theta, l, m):
+            calls.append(theta.shape[0])
+            return _forward(theta, l, m)
+        monkeypatch.setattr(adversary, "_forward", counted)
+        counts = []
+        for steps in (20, 2000):
+            calls.clear()
+            result = optimize_restarts(3, 2, n_restarts=4, steps=steps,
+                                       seed=1, track_trajectories=True)
+            counts.append(len(calls))
+            assert result.restart_gammas == (0.0,) * 4
+            assert [t.tolist() for t in result.trajectories] == (
+                [[0.0] * (steps + 1)] * 4)
+        assert counts[0] == counts[1] <= 3
+
+    def test_live_restart_keeps_its_values(self):
+        result = optimize_restarts(3, 3, n_restarts=1, steps=300, seed=9,
+                                   track_trajectories=True)
+        assert result.restart_gammas == (0.999999999070436,)
+        assert result.trajectories[0][150] == 0.9999413769676462
 
     def test_validation(self):
         with pytest.raises(ValueError):

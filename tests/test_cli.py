@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfii import cli
+from cfii import cli, estimate
 from cfii.adversary import optimize_restarts
 from cfii.cli import (_SPECS, MAX_ROWS, ConfigError, ResultTable,
                       build_config, main)
@@ -340,6 +340,53 @@ class TestCertifyCommand:
             sample = sample_binary(model, theta, 300, 5, j)
             assert table[name] == plugin_fi(sample, model).value
 
+    def test_pinned_k12_report(self, capsys):
+        # 13 contexts: a pairwise (np.sum) SE would differ in the last bit
+        code, out, _ = run_cli(capsys, [
+            "certify", "--seed", "4", "--k", "12", "--se-mode", "empirical"])
+        assert code == 0
+        assert "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("# wallclock")) == (
+            f"# tool: cfii {cli.__version__}\n# command: certify\n"
+            '# config: {"eps_r": '
+            '0.02, "gamma": 0.25, "gamma_grid": "", "k": 12, "se_mode": '
+            '"empirical", "seed": 4, "shots": 1000, "shots_grid": "", '
+            '"t_total": 1.5707963267948966, "vartheta0": 0.0}\n# seed: 4\n'
+            "quantity,value\n"
+            "v_hat,-12.117055672406885\n"
+            "se,0.63192169027403033\n"
+            "z,19.17493236725641\n"
+            "ci95_lo,-13.355599436163134\n"
+            "ci95_hi,-10.878511908650635\n"
+            "fi_hat_end,0.42019257854914221\n"
+            "fi_hat_seg_1,0.86685922205163413\n"
+            "fi_hat_seg_2,0.78749040383729085\n"
+            "fi_hat_seg_3,0.92638583571239153\n"
+            "fi_hat_seg_4,0.90654363115880576\n"
+            "fi_hat_seg_5,0.82717481294446249\n"
+            "fi_hat_seg_6,0.86685922205163413\n"
+            "fi_hat_seg_7,0.70812158562294769\n"
+            "fi_hat_seg_8,1.0454390630339063\n"
+            "fi_hat_seg_9,0.76764819928370498\n"
+            "fi_hat_seg_10,0.72796379017653345\n"
+            "fi_hat_seg_11,0.84701701749804836\n"
+            "fi_hat_seg_12,0.76764819928370498\n"
+            "v_analytic,-12.329181201435755\n"
+            "se_analytic,0.63555638524160607\n"
+            "z_analytic,19.399036006457287\n")
+
+    def test_point_evaluates_p0_once_per_angle(self, capsys, monkeypatch):
+        calls = []
+        p0 = NoisyFringeModel.p0
+
+        def counted(self, theta):
+            calls.append(theta)
+            return p0(self, theta)
+        monkeypatch.setattr(NoisyFringeModel, "p0", counted)
+        code, _, _ = run_cli(capsys, ["certify", "--seed", "1", "--k", "1000",
+                                      "--shots", "10"])
+        assert code == 0 and len(calls) <= 2
+
     def test_sweep_reference_row(self, capsys):
         code, out, _ = run_cli(capsys, [
             "certify", "--gamma-grid", "0.25:0.5:2"])
@@ -383,6 +430,25 @@ class TestCertifyCommand:
             assert code == 2 and out == ""
             assert err.startswith("cfii: config error:")
             assert err.count("\n") == 1
+
+
+class TestDrawBound:
+    """Shot and replication counts above the library's limits are refused
+    before anything is drawn."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--seed", "1", "--shots", "1000000000"],
+         "n must lie in [1, 10000000], got 1000000000"),
+        (["rmse", "--seed", "1", "--reps", "1000000000"],
+         "reps must be at most 1000000, got 1000000000"),
+    ])
+    def test_refused_with_one_line(self, capsys, monkeypatch, argv, message):
+        def drawn(*args):
+            raise AssertionError("a refused run drew random numbers")
+        monkeypatch.setattr(estimate, "derive_rng", drawn)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"cfii: config error: {message}\n"
 
 
 class TestAdversaryCommand:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfii.errors import (BranchWarning, DegenerateModelError, EstimationError)
-from cfii.estimate import (ContextSample, analytic_certification,
+from cfii.estimate import (ContextSample, _certify, analytic_certification,
                            analytic_mu4, certify_vk, classifier_fi,
                            classifier_score, fi_estimate_variance, mc_rmse,
                            mc_vk_distribution, mle_theta, plugin_fi,
@@ -15,12 +15,25 @@ from cfii.estimate import (ContextSample, analytic_certification,
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.rng import derive_rng
-from cfii.witness import k_chain_gain
+from cfii.witness import k_chain_gain, v_chain
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 NOISY = NoisyFringeModel(GOLDEN)
 IDEAL = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
 T = math.pi / 2
+
+
+def counting_fringe(calls):
+    """The GOLDEN fringe, appending each evaluation of z and zdot to calls."""
+    class CountingFringe(NoisyFringeModel):
+        def z(self, theta):
+            calls.append(("z", theta))
+            return super().z(theta)
+
+        def zdot(self, theta):
+            calls.append(("zdot", theta))
+            return super().zdot(theta)
+    return CountingFringe(GOLDEN)
 
 
 class TestSampling:
@@ -39,6 +52,8 @@ class TestSampling:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             sample_binary(NOISY, 0.7, 0, seed=1)
+        with pytest.raises(ValueError, match=r"\[1, 10000000\]"):
+            sample_binary(NOISY, 0.7, 10 ** 7 + 1, seed=1)
         for n, n0 in ((0, 0), (5, -1), (5, 6), (5, 1.5)):
             with pytest.raises(ValueError):
                 ContextSample(theta=0.1, n=n, n0=n0)
@@ -175,17 +190,7 @@ class TestCertifyVk:
     def test_model_evaluations_do_not_grow_with_k(self, se_mode):
         # K segments at one angle are one distinct context, whatever K is
         calls = []
-
-        class CountingFringe(NoisyFringeModel):
-            def score(self, x, theta):
-                calls.append(("score", theta))
-                return super().score(x, theta)
-
-            def fi(self, theta):
-                calls.append(("fi", theta))
-                return super().fi(theta)
-
-        model, counts = CountingFringe(GOLDEN), []
+        model, counts = counting_fringe(calls), []
         for k in (4, 10 ** 4):
             endpoint = ContextSample(theta=T, n=100, n0=60)
             segments = [ContextSample(theta=T / k, n=100, n0=90 + j % 7)
@@ -196,7 +201,8 @@ class TestCertifyVk:
             assert len(report.estimates) == k + 1
             assert report == certify_vk(endpoint, segments, NOISY,
                                         se_mode=se_mode)
-        assert counts[0] == counts[1] > 0
+        # one z and one zdot per distinct angle, in either mode
+        assert counts[0] == counts[1] == 4
 
     def test_validation(self):
         endpoint, segments = self._golden_contexts()
@@ -237,24 +243,96 @@ class TestAnalyticCertification:
                 == analytic_certification(NOISY, T, 4, 100))
 
     def test_fi_evaluations_do_not_grow_with_k(self):
-        # an equal partition has two distinct angles, whatever K is
+        # an equal partition has two distinct angles, whatever K is, and
+        # each angle's F, scores and mu4 come from one z and one zdot
         calls = []
-
-        class CountingFringe(NoisyFringeModel):
-            def fi(self, theta):
-                calls.append(theta)
-                return super().fi(theta)
-
-        model, k = CountingFringe(GOLDEN), 10 ** 5
+        model, k = counting_fringe(calls), 10 ** 5
         f_segment = float(NOISY.fi(T / k))
         report = k_chain_gain(model, T, k)
-        assert len(calls) <= 2
+        assert len(calls) <= 4
         assert report.f_segments == (f_segment,) * k
         calls.clear()
         cert = analytic_certification(model, T, k, 1000)
-        assert len(calls) <= 2
+        assert sorted(calls) == sorted(
+            [("z", T), ("zdot", T), ("z", T / k), ("zdot", T / k)])
         assert [e.value for e in cert.estimates] == (
             [float(NOISY.fi(T))] + [f_segment] * k)
+
+
+def reference_row(n0, n, s0, s1, moments=None):
+    """One experiment of the certification core in plain floats, context by
+    context: the plug-in moments, the witness, the delta-method SE summed
+    left to right, and Z."""
+    f_hat, var_hat = [], []
+    for c in range(len(n)):
+        sq0, sq1 = s0[c] * s0[c], s1[c] * s1[c]
+        f_hat.append((n0[c] * sq0 + (n[c] - n0[c]) * sq1) / n[c])
+        gap = sq0 - sq1
+        var_hat.append(0.0 if n[c] == 1 else n0[c] * (n[c] - n0[c]) * gap
+                       * gap / (n[c] * n[c] * (n[c] - 1)))
+    v = float(v_chain(f_hat[0], f_hat[1:]))
+    total = 0.0
+    for f, var in (zip(f_hat, var_hat) if moments is None
+                   else zip(*moments)):
+        total += var / f ** 4
+    se = math.sqrt(total)
+    if se > 0.0:
+        z = -v / se
+    else:
+        z = 0.0 if v == 0.0 else math.copysign(math.inf, -v)
+    return f_hat, var_hat, v, se, z
+
+
+class TestCertifyCore:
+    @pytest.mark.parametrize("k", [2, 4, 9, 100])
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_rows_equal_the_plain_float_reference(self, k, analytic):
+        rng = np.random.default_rng(1000 * k + analytic)
+        c = k + 1
+        # single-shot and two-shot contexts among larger ones
+        n = rng.choice([1, 2, 7, 100, 1000, 3 * 10 ** 6], size=c)
+        n[:2] = (1, 2)
+        n0 = rng.integers(0, n + 1, size=(20, 2, c))
+        s0, s1 = rng.normal(size=(2, c))
+        moments = ((rng.uniform(0.1, 2.0, size=c),
+                    rng.uniform(0.0, 1e-2, size=c)) if analytic else None)
+        f_hat, var_hat, (v, se, z) = _certify(n, n0, (s0, s1), moments)
+        assert f_hat.shape == var_hat.shape == (20, 2, c)
+        assert v.shape == z.shape == (20, 2)
+        se = np.broadcast_to(se, v.shape)  # one SE for all rows in analytic
+        for row in np.ndindex(20, 2):
+            ref = reference_row(n0[row].tolist(), n.tolist(), s0.tolist(),
+                                s1.tolist(),
+                                None if moments is None
+                                else [m.tolist() for m in moments])
+            assert f_hat[row].tolist() == ref[0]
+            assert var_hat[row].tolist() == ref[1]
+            assert (v[row], se[row], z[row]) == ref[2:]
+
+    def test_single_shots_give_a_zero_se(self):
+        # empirical SE of single-shot contexts is 0: Z is then +-inf or 0
+        n0 = np.array([[1, 0, 1], [0, 1, 0]])
+        scores = (np.array([0.5, 2.0, 2.0]), np.array([-0.5, -2.0, -2.0]))
+        _, var_hat, (v, se, z) = _certify(np.ones(3, dtype=int), n0, scores)
+        assert (var_hat == 0.0).all() and (se == 0.0).all()
+        assert v.tolist() == [3.5, 3.5]
+        assert z.tolist() == [-math.inf, -math.inf]
+        est = plugin_fi(ContextSample(theta=0.9, n=1, n0=1), NOISY)
+        assert est.degenerate and est.variance == 0.0
+
+    def test_mc_vk_distribution_is_unchanged(self):
+        cases = [
+            ((GOLDEN, T, 4, 1000, 500, 17),
+             (-2.613664869556544, -3.001780487628037, -2.22062259807004)),
+            ((NoisyFringeParams(gamma=0.585, epsilon_r=0.02), T, 8, 30, 300,
+              4),
+             (-4.411145610085686, -17.875226703977198, 2.316167899137451)),
+            ((NoisyFringeParams(gamma=0.5, epsilon_r=0.0, vartheta0=0.3), 1.2,
+              9, 100, 200, 5),
+             (-21.63062592164829, -57.34864366381286, -10.39050631607842)),
+        ]
+        for args, (mean, lo, hi) in cases:
+            assert mc_vk_distribution(*args) == (mean, (lo, hi))
 
 
 class TestClassifierScore:
@@ -361,6 +439,8 @@ class TestMonteCarlo:
             mc_rmse(IDEAL, T, 0, 10, seed=0)
         with pytest.raises(ValueError):
             mc_rmse(IDEAL, T, 10, 0, seed=0)
+        with pytest.raises(ValueError, match="at most 1000000"):
+            mc_rmse(IDEAL, T, 10, 10 ** 6 + 1, seed=0)
 
     def test_vk_distribution_brackets_the_analytic_value(self):
         mean, (lo, hi) = mc_vk_distribution(GOLDEN, T, 4, 1000, reps=2000,
