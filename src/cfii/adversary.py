@@ -32,10 +32,13 @@ import numpy as np
 
 from .errors import DegenerateBenchmarkError, OptimizationError
 from .fim import PINV_RCOND, ROWSPACE_TOL, FisherMatrix
-from .rng import derive_rng
+from .rng import derive_rng, require_integral
 
 # Module FIs below this make the harmonic benchmark degenerate.
 FI_FLOOR = 1e-14
+
+# Most parameters, n_restarts * (2L + 2LM), of one optimizer batch.
+MAX_BATCH_PARAMS = 10 ** 6
 
 _NORM_U = float(np.linalg.norm(np.ones(2)))  # |u| for u = (1, 1)
 _TAG_RESTART = 5
@@ -258,14 +261,15 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
     values do not depend on how many others share it.  Each restart reports
     the best objective it ever evaluated.
     """
-    if l < 2 or m < 2:
-        raise ValueError("adversary search needs l >= 2 and m >= 2")
-    if n_restarts < 1 or steps < 0:
-        raise ValueError("need n_restarts >= 1 and steps >= 0")
+    l, m = require_integral(l, "l", 2), require_integral(m, "m", 2)
+    n_restarts = require_integral(n_restarts, "n_restarts", 1)
+    steps = require_integral(steps, "steps")
+    n_par = 2 * l + 2 * l * m
+    require_integral(n_restarts * n_par, "n_restarts * (2 l + 2 l m)",
+                     hi=MAX_BATCH_PARAMS)
     if not (np.isfinite(lr) and lr > 0.0):
         raise ValueError(f"need a finite lr > 0, got {lr}")
 
-    n_par = 2 * l + 2 * l * m
     rngs = [derive_rng(seed, _TAG_RESTART, r) for r in range(n_restarts)]
     theta = np.empty((n_restarts, n_par))
     redraw = range(n_restarts)

@@ -33,7 +33,8 @@ from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
 
-# Most shots a sampled context draws, and most replications of mc_rmse.
+# Most draws in one array (a sampled context's shots, mc_vk_distribution's
+# count table), and most replications of a Monte Carlo run.
 MAX_SHOTS = 10 ** 7
 MAX_REPS = 10 ** 6
 
@@ -54,10 +55,7 @@ class ContextSample:
     n0: int
 
     def __post_init__(self) -> None:
-        if not (require_integral(self.n, "n") >= 1
-                and 0 <= require_integral(self.n0, "n0") <= self.n):
-            raise ValueError("need n >= 1 and 0 <= n0 <= n, got "
-                             f"n = {self.n}, n0 = {self.n0}")
+        require_integral(self.n0, "n0", 0, require_integral(self.n, "n", 1))
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ def _sample_contexts(model: BinaryModel, thetas: Sequence[float], n: int,
                      ) -> list[ContextSample]:
     """sample_binary at each of thetas on the matching path, evaluating p0
     once per distinct angle."""
-    if not 1 <= n <= MAX_SHOTS:
-        raise ValueError(f"n must lie in [1, {MAX_SHOTS}], got {n}")
+    n = require_integral(n, "n", 1, MAX_SHOTS)
     p0 = {theta: float(model.p0(theta)) for theta in set(thetas)}
     for p in p0.values():
         if not 0.0 <= p <= 1.0:
@@ -207,6 +204,7 @@ def _mu4(z: float, zd: float) -> float:
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
+    n = require_integral(n, "n", 1)
     return _moments(model, theta, *_fringe(model, theta), n)[1]
 
 
@@ -245,9 +243,12 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
                       for theta, n in {(s.theta, s.n) for s in contexts}}
         moments = np.array([by_context[s.theta, s.n] for s in contexts]).T
     n = [s.n for s in contexts]
-    return _report(n, *_certify(
+    report = _report(n, *_certify(
         n, [s.n0 for s in contexts],
         np.array([scores[s.theta] for s in contexts]).T, moments), se_mode)
+    if se_mode == "empirical" and report.se == 0.0:
+        raise EstimationError("empirical SE is 0: significance undefined")
+    return report
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -256,8 +257,7 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     the witness, SE, and Z that an n_per_context-shot experiment is expected
     to produce, computed entirely from analytic moments."""
     k = _require_chain(k, t_total, "t_total")
-    if n_per_context < 2:
-        raise ValueError("need n_per_context >= 2")
+    n_per_context = require_integral(n_per_context, "n_per_context", 2)
     moments = np.repeat([
         _moments(model, theta, *_fringe(model, theta), n_per_context)
         for theta in (t_total, t_total / k)], [1, k], axis=0).T
@@ -297,8 +297,8 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
                   alpha: float = 5.0, seed: int = 0) -> FiEstimate:
     """Model-free FI estimate: train the classifier score on samples drawn
     at theta +- delta, then average its square over fresh samples at theta."""
-    if n_train < 1 or n_eval < 1:
-        raise ValueError("n_train and n_eval must be >= 1")
+    n_train = require_integral(n_train, "n_train", 1)
+    n_eval = require_integral(n_eval, "n_eval", 1)
     rng_p = derive_rng(seed, _TAG_CLASSIFIER, 0)
     rng_m = derive_rng(seed, _TAG_CLASSIFIER, 1)
     rng_e = derive_rng(seed, _TAG_CLASSIFIER, 2)
@@ -341,10 +341,8 @@ def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
     an n-shot experiment at theta_true, drawn from the stream
     (seed, 3, *path).  The MLE inverts z = cos(theta - vartheta) only: a
     model with another fringe is refused."""
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
-    if reps > MAX_REPS:
-        raise ValueError(f"reps must be at most {MAX_REPS}, got {reps}")
+    n = require_integral(n, "n", 1)
+    reps = require_integral(reps, "reps", 1, MAX_REPS)
     grid = np.arange(64) * (2.0 * math.pi / 64)
     if np.max(np.abs(model.z(grid) - np.cos(grid - vartheta))) > 1e-12:
         raise ValueError(f"the MLE inverts z = cos(theta - {vartheta}) only")
@@ -366,8 +364,9 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     as in certify_vk.
     """
     k = _require_chain(k, t_total, "t_total")
-    if n_per_context < 1 or reps < 1:
-        raise ValueError("n_per_context and reps must be >= 1")
+    n_per_context = require_integral(n_per_context, "n_per_context", 1)
+    reps = require_integral(reps, "reps", 1, MAX_REPS)
+    require_integral(reps * (k + 1), "reps * (k + 1)", hi=MAX_SHOTS)
     model = NoisyFringeModel(params)
     # one model evaluation per angle, the k segments sharing theirs, while
     # each context j keeps its own stream (seed, 4, j)

@@ -29,8 +29,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
     Distinct paths give statistically independent streams; the same
     `(seed, path)` always reproduces the same sequence.  The seed and each
-    path element must be integral values: 3, np.int64(3) and 3.0 name the
-    same stream, and 1.5 is refused rather than truncated.
+    path element must be integral values >= 0: 3, np.int64(3) and 3.0 name
+    the same stream, and 1.5 is refused rather than truncated.
     """
     ss = np.random.SeedSequence(
         entropy=require_integral(seed, "seed"),
@@ -39,13 +39,18 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def require_integral(value, name: str) -> int:
-    """`value` as an int when it is an integral value (an int, a numpy
-    integer or an integral float); ValueError otherwise."""
+def require_integral(value, name: str, lo: int = 0,
+                     hi: int | None = None) -> int:
+    """The count `value` as an int when it is an integral value (an int, a
+    numpy integer or an integral float) in [lo, hi], hi None meaning no
+    upper bound; ValueError naming `name` otherwise."""
     try:
         integral = int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise ValueError(f"{name} must be an integral value, got {value!r}")
+    if not (lo <= value and (hi is None or value <= hi)):
+        bounds = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{name} must {bounds}, got {int(value)}")
     return int(value)

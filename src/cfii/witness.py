@@ -29,9 +29,8 @@ import numpy as np
 from .errors import (DegenerateBenchmarkError, NoCrossingError,
                      NonPositiveFiError, OptimizationError,
                      ResistanceOverflowError)
-from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
-                     NoisyFringeParams, QubitFringeModel, QubitPreparation,
-                     categorical_product)
+from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
+                     QubitFringeModel, QubitPreparation)
 from .rng import require_integral
 
 # Segment FIs below this are treated as dead when maximizing over splits.
@@ -252,12 +251,9 @@ def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
     model = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_points)
 
-    coin = CategoricalModel(np.array([0.5, 0.5]), np.zeros(2))
-    forget_a = np.tile(np.eye(2), (2, 1))
-    p_blind = np.array([
-        (forget_a.T @ categorical_product(coin, model.as_categorical(t)).p)[0]
-        for t in thetas])
-    nsit_holds = _nsit_holds(model.p0(thetas), p_blind)
+    p0 = model.p0(thetas)
+    joint = np.multiply.outer([0.5, 0.5], [p0, 1.0 - p0])  # p(a, b, theta)
+    nsit_holds = _nsit_holds(p0, joint.sum(axis=0)[0])
 
     fi = model.fi(thetas)
     nsit_holds = nsit_holds and bool(np.max(np.abs(fi - 1.0)) < 1e-10)
@@ -281,11 +277,7 @@ def _require_chain(k, total: float, name: str) -> int:
     """Check the arguments of a k-segment chain of total angle `total`:
     k an integral value in [2, MAX_CHAIN_K] (an integral float such as 4.0
     acts as 4) and a finite total > 0.  Returns k as an int."""
-    k = require_integral(k, "k")
-    if k < 2:
-        raise ValueError(f"chain needs k >= 2 segments, got {k}")
-    if k > MAX_CHAIN_K:
-        raise ValueError(f"chain takes at most {MAX_CHAIN_K} segments, got {k}")
+    k = require_integral(k, "k", 2, MAX_CHAIN_K)
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(f"need a finite {name} > 0, got {total}")
     return k

@@ -440,7 +440,7 @@ class TestDrawBound:
         (["certify", "--seed", "1", "--shots", "1000000000"],
          "n must lie in [1, 10000000], got 1000000000"),
         (["rmse", "--seed", "1", "--reps", "1000000000"],
-         "reps must be at most 1000000, got 1000000000"),
+         "reps must lie in [1, 1000000], got 1000000000"),
     ])
     def test_refused_with_one_line(self, capsys, monkeypatch, argv, message):
         def drawn(*args):
