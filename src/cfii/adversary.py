@@ -32,13 +32,16 @@ import numpy as np
 
 from .errors import DegenerateBenchmarkError, OptimizationError
 from .fim import PINV_RCOND, ROWSPACE_TOL, FisherMatrix
-from .rng import derive_rng, require_integral
+from .rng import derive_rng, require_integral, require_real
 
 # Module FIs below this make the harmonic benchmark degenerate.
 FI_FLOOR = 1e-14
 
 # Most parameters, n_restarts * (2L + 2LM), of one optimizer batch.
 MAX_BATCH_PARAMS = 10 ** 6
+
+# Largest Adam learning rate: a step moves a logit by at most about 3 lr.
+MAX_LR = 1e3
 
 _NORM_U = float(np.linalg.norm(np.ones(2)))  # |u| for u = (1, 1)
 _TAG_RESTART = 5
@@ -54,23 +57,16 @@ class AdversaryParams:
     d_dot: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        a_dot = np.asarray(self.a_dot, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        d_dot = np.asarray(self.d_dot, dtype=float)
-        if a.ndim != 1 or a_dot.shape != a.shape:
+        for name in ("a", "a_dot", "d", "d_dot"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
+        shape_a, shape_d = np.shape(self.a), np.shape(self.d)
+        if len(shape_a) != 1 or np.shape(self.a_dot) != shape_a:
             raise ValueError("a and a_dot must be 1-D arrays of equal length")
-        if d.ndim != 2 or d_dot.shape != d.shape or d.shape[0] != a.size:
+        if (len(shape_d) != 2 or np.shape(self.d_dot) != shape_d
+                or shape_d[0] != shape_a[0]):
             raise ValueError("d and d_dot must be L x M arrays")
-        if a.size < 1 or d.shape[1] < 2:
+        if shape_a[0] < 1 or shape_d[1] < 2:
             raise ValueError("need L >= 1 mediator values and M >= 2 outcomes")
-        for name, arr in (("a", a), ("a_dot", a_dot), ("d", d), ("d_dot", d_dot)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_dot", a_dot)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "d_dot", d_dot)
 
     @property
     def l(self) -> int:
@@ -267,8 +263,7 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
     n_par = 2 * l + 2 * l * m
     require_integral(n_restarts * n_par, "n_restarts * (2 l + 2 l m)",
                      hi=MAX_BATCH_PARAMS)
-    if not (np.isfinite(lr) and lr > 0.0):
-        raise ValueError(f"need a finite lr > 0, got {lr}")
+    lr = require_real(lr, "lr", 0, MAX_LR, "(]")
 
     rngs = [derive_rng(seed, _TAG_RESTART, r) for r in range(n_restarts)]
     theta = np.empty((n_restarts, n_par))

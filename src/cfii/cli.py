@@ -42,6 +42,7 @@ from .estimate import (_sample_contexts, analytic_certification, certify_vk,
                        mc_rmse)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
+from .rng import require_real
 from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
                       k_chain_gain, nsit_separation_demo, v_path)
 
@@ -284,33 +285,22 @@ def build_config(argv: list[str]) -> ExperimentConfig:
                             out=ns.out, fmt=fmt)
 
 
-def _parse_grid(spec: str, name: str) -> np.ndarray:
-    a, b, n = _split_grid(spec, name)
+def _parse_grid(spec: str, name: str, bounds: tuple = ()) -> np.ndarray:
+    a, b, n = _split_grid(spec, name, bounds)
     return np.linspace(a, b, n)
 
 
-def _parse_int_geom_grid(spec: str, name: str) -> np.ndarray:
-    a, b, n = _split_int_grid(spec, name)
-    if a < 1 or b < a:
+def _parse_int_grid(spec: str, name: str, space=np.linspace) -> np.ndarray:
+    """The distinct rounded points of a linear or geometric grid, whose
+    endpoints fit in int64 so that every rounded point does."""
+    a, b, n = _split_grid(spec, name, (-2.0 ** 63, 2.0 ** 63, "[)"))
+    if space is np.geomspace and (a < 1 or b < a):
         raise ConfigError(f"{name} needs 1 <= A <= B")
-    return np.unique(np.rint(np.geomspace(a, b, n)).astype(np.int64))
+    return np.unique(np.rint(space(a, b, n)).astype(np.int64))
 
 
-def _parse_int_lin_grid(spec: str, name: str) -> np.ndarray:
-    a, b, n = _split_int_grid(spec, name)
-    return np.unique(np.rint(np.linspace(a, b, n)).astype(np.int64))
-
-
-def _split_int_grid(spec: str, name: str) -> tuple[float, float, int]:
-    """Grid endpoints that fit in int64, so that every rounded point does."""
-    a, b, n = _split_grid(spec, name)
-    if not all(-2.0 ** 63 <= x < 2.0 ** 63 for x in (a, b)):
-        raise ConfigError(
-            f"{name} endpoints must fit in a 64-bit integer, got {spec!r}")
-    return a, b, n
-
-
-def _split_grid(spec: str, name: str) -> tuple[float, float, int]:
+def _split_grid(spec: str, name: str, bounds: tuple = ()) -> tuple[float, float, int]:
+    """(A, B, N) of an A:B:N grid, A and B checked by require_real(*bounds)."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must look like A:B:N, got {spec!r}")
@@ -318,8 +308,7 @@ def _split_grid(spec: str, name: str) -> tuple[float, float, int]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {spec!r}") from exc
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ConfigError(f"{name} endpoints must be finite, got {spec!r}")
+    a, b = (require_real(x, f"{name} endpoints", *bounds) for x in (a, b))
     if not 2 <= n <= MAX_ROWS:
         raise ConfigError(f"{name} needs 2 to {MAX_ROWS} points, got {n}")
     return a, b, n
@@ -357,8 +346,10 @@ def cmd_fi(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
     thetas = _parse_grid(params["grid"], "--grid")
-    return ResultTable({"theta": thetas, "z": model.z(thetas),
-                        "fi": model.fi(thetas)})
+    # a gamma * theta that overflows damps the fringe to its limit z = 0
+    with np.errstate(over="ignore"):
+        return ResultTable({"theta": thetas, "z": model.z(thetas),
+                            "fi": model.fi(thetas)})
 
 
 def cmd_landscape(config: ExperimentConfig) -> ResultTable:
@@ -367,8 +358,10 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
                                               varphi=params["varphi"]))
     if not (params["clip_v"] > 0.0 and params["clip_g"] > 0.0):
         raise ConfigError("clip-v and clip-g must be > 0")
-    t_ac = _parse_grid(params["grid"], "--grid")
-    t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb")
+    # angles within half the largest float, so that t_ac + t_cb is finite
+    half = (-0.5 * sys.float_info.max, 0.5 * sys.float_info.max)
+    t_ac = _parse_grid(params["grid"], "--grid", half)
+    t_cb = _parse_grid(params["grid_cb"] or params["grid"], "--grid-cb", half)
     theta_ac, theta_cb = _product_columns(t_ac, t_cb)
     f_end = model.fi(t_ac[:, None] + t_cb)
     f_ac = model.fi(t_ac)[:, None]
@@ -423,7 +416,7 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
 def _certify_sweep(params: dict) -> ResultTable:
     gammas = (_parse_grid(params["gamma_grid"], "--gamma-grid")
               if params["gamma_grid"] else np.array([params["gamma"]]))
-    shots = (_parse_int_geom_grid(params["shots_grid"], "--shots-grid")
+    shots = (_parse_int_grid(params["shots_grid"], "--shots-grid", np.geomspace)
              if params["shots_grid"] else np.array([params["shots"]]))
     gamma_col, shots_col = _product_columns(gammas, shots)
     reports = [analytic_certification(_noisy(params, gamma),
@@ -456,11 +449,11 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
-    theta = params["theta"]
+    theta = require_real(params["theta"], "theta")
     f = model.fi(theta)
     if f <= 0.0:
         raise ConfigError("reference bounds undefined: FI is zero at theta")
-    n_values = _parse_int_geom_grid(params["n_grid"], "--n-grid")
+    n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
     vartheta = (params["vartheta"] if params["model"] == "ideal"
                 else params["vartheta0"])
     crb = 1.0 / np.sqrt(n_values * f)
@@ -476,7 +469,7 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
 def cmd_chain(config: ExperimentConfig) -> ResultTable:
     params = config.params
     gammas = _parse_grid(params["gamma_grid"], "--gamma-grid")
-    ks = (_parse_int_lin_grid(params["k_grid"], "--k-grid")
+    ks = (_parse_int_grid(params["k_grid"], "--k-grid")
           if params["k_grid"] else np.array([params["k"]]))
     t_total = params["t_total"]
     k_col, gamma_col = _product_columns(ks, gammas)
@@ -505,8 +498,6 @@ def cmd_nsit_demo(config: ExperimentConfig) -> ResultTable:
 
 def cmd_crossing(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if not 0.0 < params["gamma_max"] < math.inf:
-        raise ConfigError("gamma-max must be finite and > 0")
     gamma_star = gamma_crossing(_noisy(params, 0.0).params,
                                 params["t_total"], params["k"],
                                 gamma_range=(0.0, params["gamma_max"]))

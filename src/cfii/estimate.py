@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BranchWarning, DegenerateModelError, EstimationError
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams, _score
-from .rng import derive_rng, require_integral
+from .rng import derive_rng, require_integral, require_real
 from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
@@ -68,8 +68,8 @@ class FiEstimate:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
-            raise ValueError("variance must be >= 0")
+        require_real(self.value, "value", 0)
+        require_real(self.variance, "variance", 0)
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,8 @@ def _sample_contexts(model: BinaryModel, thetas: Sequence[float], n: int,
     """sample_binary at each of thetas on the matching path, evaluating p0
     once per distinct angle."""
     n = require_integral(n, "n", 1, MAX_SHOTS)
-    p0 = {theta: float(model.p0(theta)) for theta in set(thetas)}
-    for p in p0.values():
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p0 must lie in [0, 1], got {p}")
+    p0 = {theta: require_real(float(model.p0(theta)), "p0", 0, 1)
+          for theta in set(thetas)}
     return [ContextSample(theta=float(theta), n=n, n0=int(np.count_nonzero(
                 derive_rng(seed, _TAG_SAMPLE, *path).random(n) < p0[theta])))
             for theta, path in zip(thetas, paths)]
@@ -274,10 +272,11 @@ def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int]
         s_hat(x) = (1/2 delta) ln[ ((n_{+,x}+alpha)/(N_+ + 2 alpha))
                                  / ((n_{-,x}+alpha)/(N_- + 2 alpha)) ].
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise EstimationError(f"delta must be > 0, got {delta}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = require_real(alpha, "alpha", 0)
+    counts_plus = [require_integral(c, "counts_plus") for c in counts_plus]
+    counts_minus = [require_integral(c, "counts_minus") for c in counts_minus]
     np_, nm = sum(counts_plus), sum(counts_minus)
     if np_ < 1 or nm < 1:
         raise ValueError("each class needs at least one training count")
@@ -297,6 +296,8 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
                   alpha: float = 5.0, seed: int = 0) -> FiEstimate:
     """Model-free FI estimate: train the classifier score on samples drawn
     at theta +- delta, then average its square over fresh samples at theta."""
+    theta = require_real(theta, "theta")
+    delta = require_real(delta, "delta", 0, bounds="(]")
     n_train = require_integral(n_train, "n_train", 1)
     n_eval = require_integral(n_eval, "n_eval", 1)
     rng_p = derive_rng(seed, _TAG_CLASSIFIER, 0)
@@ -319,8 +320,8 @@ def mle_theta(p0_hat: float, vartheta: float = 0.0) -> float:
     [1e-12, 1 - 1e-12]; a frequency of 0 or 1 sits on the branch boundary,
     where the estimate is pinned to vartheta + pi or vartheta with a
     warning."""
-    if not 0.0 <= p0_hat <= 1.0:
-        raise ValueError(f"p0_hat must lie in [0, 1], got {p0_hat}")
+    p0_hat = require_real(p0_hat, "p0_hat", 0, 1)
+    vartheta = require_real(vartheta, "vartheta")
     if p0_hat <= 0.0 or p0_hat >= 1.0:
         warnings.warn("frequency on the branch boundary; estimate pinned",
                       BranchWarning, stacklevel=2)
@@ -341,6 +342,8 @@ def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
     an n-shot experiment at theta_true, drawn from the stream
     (seed, 3, *path).  The MLE inverts z = cos(theta - vartheta) only: a
     model with another fringe is refused."""
+    theta_true = require_real(theta_true, "theta_true")
+    vartheta = require_real(vartheta, "vartheta")
     n = require_integral(n, "n", 1)
     reps = require_integral(reps, "reps", 1, MAX_REPS)
     grid = np.arange(64) * (2.0 * math.pi / 64)
@@ -348,8 +351,10 @@ def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
         raise ValueError(f"the MLE inverts z = cos(theta - {vartheta}) only")
     p0 = float(model.p0(theta_true))
     rng = derive_rng(seed, _TAG_RMSE, *path)
-    theta_hat = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta)
-    return float(np.sqrt(np.mean((theta_hat - theta_true) ** 2)))
+    err = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta) - theta_true
+    # err scaled exactly by 2**-e <= 1/max|err|: its square cannot overflow
+    e = max(0, math.frexp(float(np.max(np.abs(err))))[1])
+    return math.ldexp(float(np.sqrt(np.mean(np.ldexp(err, -e) ** 2))), e)
 
 
 def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,

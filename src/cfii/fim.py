@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateModelError, NonStochasticChannelError,
-                     NotPositiveDefiniteError)
-from .models import CategoricalModel
+from .errors import NonStochasticChannelError, NotPositiveDefiniteError
+from .models import CategoricalModel, _categorical_fi
+from .rng import require_integral, require_real
 
 # Relative eigenvalue cutoff for the pseudoinverse, and the relative mass of
 # u allowed outside the row space before the direction counts as lost.
@@ -31,11 +31,9 @@ class FisherMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+        m = require_real(self.mat, "mat")
+        if np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {np.shape(m)}")
         if np.max(np.abs(m - m.T)) > 1e-12:
             raise ValueError("matrix is not symmetric within 1e-12")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
@@ -56,13 +54,13 @@ def effective_fi(fisher: FisherMatrix | np.ndarray, u: np.ndarray) -> float:
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(np.asarray(fisher))
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size != fisher.dim:
-        raise ValueError(f"direction has shape {u.shape}, matrix is "
+    u = require_real(u, "u")
+    if np.ndim(u) != 1 or u.size != fisher.dim:
+        raise ValueError(f"direction has shape {np.shape(u)}, matrix is "
                          f"{fisher.dim}x{fisher.dim}")
     norm_u = np.linalg.norm(u)
-    if norm_u == 0.0 or not np.all(np.isfinite(u)):
-        raise ValueError("direction must be finite and nonzero")
+    if norm_u == 0.0:
+        raise ValueError("direction must be nonzero")
 
     w, vecs = np.linalg.eigh(fisher.mat)
     cutoff = PINV_RCOND * max(w.max(), 0.0)
@@ -77,7 +75,7 @@ def effective_fi(fisher: FisherMatrix | np.ndarray, u: np.ndarray) -> float:
 def synergy_effective_fi(f1: float, f2: float, j: float) -> float:
     """Effective FI (f1 f2 - j^2) / (f1 + f2 - 2 j) of the 2x2 matrix
     [[f1, j], [j, f2]] along u = (1, 1)."""
-    if f1 <= 0.0 or f2 <= 0.0 or f1 * f2 - j * j <= 0.0:
+    if not (0.0 < f1 < np.inf and 0.0 < f2 < np.inf and f1 * f2 - j * j > 0.0):
         raise NotPositiveDefiniteError(
             f"(f1={f1}, f2={f2}, j={j}) is not positive definite")
     return (f1 * f2 - j * j) / (f1 + f2 - 2.0 * j)
@@ -86,7 +84,7 @@ def synergy_effective_fi(f1: float, f2: float, j: float) -> float:
 def synergy_window(f1: float, f2: float) -> tuple[float, float]:
     """Open interval of couplings j for which the coupled pair beats the
     uncoupled harmonic benchmark: (0, 2 f1 f2 / (f1 + f2))."""
-    if f1 <= 0.0 or f2 <= 0.0:
+    if not (0.0 < f1 < np.inf and 0.0 < f2 < np.inf):
         raise NotPositiveDefiniteError("marginal informations must be positive")
     return 0.0, 2.0 * f1 * f2 / (f1 + f2)
 
@@ -95,19 +93,14 @@ def equicorrelated_effective_fi(f: float, eps: float, k: int) -> float:
     """Closed-form effective FI f * (eps + (1 - eps)/k) of the K-module
     equicorrelated matrix f * [(1 - eps) I + eps J] along the all-ones
     direction."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if f < 0.0:
-        raise ValueError(f"f must be >= 0, got {f}")
-    return f * (eps + (1.0 - eps) / k)
+    f, eps = require_real(f, "f", 0), require_real(eps, "eps", 0, 1, "[)")
+    return f * (eps + (1.0 - eps) / require_integral(k, "k", 1))
 
 
 def equicorrelated_matrix(f: float, eps: float, k: int) -> np.ndarray:
     """The explicit K x K matrix f * [(1 - eps) I + eps J]."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    f, eps = require_real(f, "f", 0), require_real(eps, "eps", 0, 1, "[)")
+    k = require_integral(k, "k", 1)
     return f * ((1.0 - eps) * np.eye(k) + eps * np.ones((k, k)))
 
 
@@ -121,16 +114,8 @@ def coarse_grain_fi(model: CategoricalModel, channel: np.ndarray) -> float:
     if c.ndim != 2 or c.shape[0] != model.m:
         raise ValueError(f"channel shape {c.shape} does not match "
                          f"{model.m} input outcomes")
-    if np.any(c < 0.0):
+    if not (c >= 0.0).all():  # NaN entries fail too
         raise NonStochasticChannelError("channel entries must be nonnegative")
     if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-9:
         raise NonStochasticChannelError("channel rows must sum to 1")
-
-    q = c.T @ model.p
-    qdot = c.T @ model.pdot
-    dead = q == 0.0
-    if np.any(dead & (qdot != 0.0)):
-        raise DegenerateModelError(
-            "irregular pushforward: zero probability with nonzero derivative")
-    live = ~dead
-    return float(np.sum(qdot[live] ** 2 / q[live]))
+    return _categorical_fi(c.T @ model.p, c.T @ model.pdot, "pushforward")

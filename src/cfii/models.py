@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateModelError
+from .rng import require_real
 
 # Below this distance from z^2 = 1 the fringe FI switches to its analytic limit.
 SINGULARITY_TOL = 1e-12
@@ -46,10 +47,8 @@ class QubitPreparation:
     varphi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.vartheta <= math.pi:
-            raise ValueError(f"vartheta must lie in [0, pi], got {self.vartheta}")
-        if not 0.0 <= self.varphi < 2.0 * math.pi:
-            raise ValueError(f"varphi must lie in [0, 2*pi), got {self.varphi}")
+        require_real(self.vartheta, "vartheta", 0, math.pi)
+        require_real(self.varphi, "varphi", 0, 2.0 * math.pi, "[)")
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,9 @@ class NoisyFringeParams:
     vartheta0: float = 0.0
 
     def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma)
-        ok = np.isfinite(gamma) & (gamma >= 0.0)
-        if not ok.all():
-            raise ValueError("gamma must be finite and >= 0, got "
-                             f"{gamma[~ok].flat[0]}")
-        if not math.isfinite(self.vartheta0):
-            raise ValueError(f"vartheta0 must be finite, got {self.vartheta0}")
-        if not 0.0 <= self.epsilon_r < 0.5:
-            raise ValueError(f"epsilon_r must lie in [0, 1/2), got {self.epsilon_r}")
+        require_real(self.gamma, "gamma", 0)
+        require_real(self.vartheta0, "vartheta0")
+        require_real(self.epsilon_r, "epsilon_r", 0, 0.5, "[)")
 
     @property
     def contrast(self) -> float:
@@ -122,9 +115,10 @@ class BinaryModel(ABC):
             if singular:
                 return -z * self.zddot(theta)
             return zd * zd / denom
+        if not singular.any():
+            return zd * zd / denom
         safe = np.where(singular, 1.0, denom)
-        regular = zd * zd / safe
-        return np.where(singular, -z * self.zddot(theta), regular)
+        return np.where(singular, -z * self.zddot(theta), zd * zd / safe)
 
     def as_categorical(self, theta) -> "CategoricalModel":
         """The same model at a fixed theta as a two-outcome categorical."""
@@ -187,15 +181,13 @@ class NoisyFringeModel(BinaryModel):
     def zdot(self, theta):
         self._check(theta)
         p = self.params
-        c = np.cos(theta - p.vartheta0)
-        s = np.sin(theta - p.vartheta0)
+        c, s = np.cos(theta - p.vartheta0), np.sin(theta - p.vartheta0)
         return -p.contrast * np.exp(-p.gamma * theta) * (p.gamma * c + s)
 
     def zddot(self, theta):
         self._check(theta)
         p = self.params
-        c = np.cos(theta - p.vartheta0)
-        s = np.sin(theta - p.vartheta0)
+        c, s = np.cos(theta - p.vartheta0), np.sin(theta - p.vartheta0)
         return p.contrast * np.exp(-p.gamma * theta) * (
             (p.gamma * p.gamma - 1.0) * c + 2.0 * p.gamma * s)
 
@@ -209,14 +201,12 @@ class CategoricalModel:
     pdot: np.ndarray
 
     def __post_init__(self) -> None:
-        self.p = np.asarray(self.p, dtype=float)
-        self.pdot = np.asarray(self.pdot, dtype=float)
-        if self.p.ndim != 1 or self.p.shape != self.pdot.shape:
+        self.p = require_real(self.p, "p", 0)
+        self.pdot = require_real(self.pdot, "pdot")
+        if np.ndim(self.p) != 1 or np.shape(self.p) != np.shape(self.pdot):
             raise ValueError("p and pdot must be 1-D arrays of equal length")
         if self.p.size < 2:
             raise ValueError("need at least two outcomes")
-        if np.any(self.p < 0.0):
-            raise ValueError("probabilities must be nonnegative")
         if abs(self.p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {self.p.sum()}, not 1")
         if abs(self.pdot.sum()) > 1e-9:
@@ -232,12 +222,16 @@ def categorical_fi(model: CategoricalModel) -> float:
 
     An outcome with p_x = 0 but pdot_x != 0 makes the model irregular.
     """
-    p = model.p
-    pdot = model.pdot
+    return _categorical_fi(model.p, model.pdot, "model")
+
+
+def _categorical_fi(p, pdot, what: str) -> float:
+    """categorical_fi of the distribution p with derivative pdot, which an
+    irregularity error calls `what`."""
     dead = p == 0.0
     if np.any(dead & (pdot != 0.0)):
         raise DegenerateModelError(
-            "irregular model: zero probability with nonzero derivative")
+            f"irregular {what}: zero probability with nonzero derivative")
     live = ~dead
     return float(np.sum(pdot[live] ** 2 / p[live]))
 

@@ -42,15 +42,42 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 def require_integral(value, name: str, lo: int = 0,
                      hi: int | None = None) -> int:
     """The count `value` as an int when it is an integral value (an int, a
-    numpy integer or an integral float) in [lo, hi], hi None meaning no
-    upper bound; ValueError naming `name` otherwise."""
+    numpy integer or an integral float) in [lo, hi], hi None meaning
+    2**63 - 1, the largest int64; ValueError naming `name` otherwise."""
     try:
         integral = int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise ValueError(f"{name} must be an integral value, got {value!r}")
-    if not (lo <= value and (hi is None or value <= hi)):
-        bounds = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+    top = 2 ** 63 - 1 if hi is None else hi
+    if not lo <= value <= top:
+        bounds = (f"be >= {lo}" if hi is None and value < lo
+                  else f"lie in [{lo}, {top}]")
         raise ValueError(f"{name} must {bounds}, got {int(value)}")
     return int(value)
+
+
+def require_real(value, name: str, lo: float = -np.inf, hi: float = np.inf,
+                 bounds: str = "[]"):
+    """`value` as a float, or an array of them as a float array, when each
+    entry is a finite real number between lo and hi, each end closed ("["
+    or "]") or open ("(" or ")") as `bounds` marks it; ValueError naming
+    `name` and the first bad entry otherwise.  An infinite end is open."""
+    if type(value) is float and (lo < value < hi or (value - value == 0.0 and (
+            value == lo and bounds[0] == "[" or value == hi and bounds[1] == "]"))):
+        return value  # the scalar fast path: NaN and inf fail both tests
+    values = np.asarray(value)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real value, got {value!r}")
+    values = values.astype(float, copy=False)
+    ok = np.isfinite(values)
+    if lo > -np.inf:
+        ok &= values > lo if bounds[0] == "(" else values >= lo
+    if hi < np.inf:
+        ok &= values < hi if bounds[1] == ")" else values <= hi
+    if not ok.all():
+        ends = "(" if lo == -np.inf else bounds[0], ")" if hi == np.inf else bounds[1]
+        raise ValueError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, "
+                         f"got {values[~ok][0]}")
+    return values if values.ndim else float(values)

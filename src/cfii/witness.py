@@ -31,7 +31,7 @@ from .errors import (DegenerateBenchmarkError, NoCrossingError,
                      ResistanceOverflowError)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
-from .rng import require_integral
+from .rng import require_integral, require_real
 
 # Segment FIs below this are treated as dead when maximizing over splits.
 SPLIT_FI_FLOOR = 1e-12
@@ -93,7 +93,8 @@ def gain_indicator(f_end, f_benchmark):
 def improvement_factor(v: float, r_cl: float) -> float:
     """Resistance ratio r_cl / (r_cl + v) comparing classical and achieved
     end-to-end information resistances."""
-    if r_cl <= 0.0:
+    v = require_real(v, "v")
+    if not 0.0 < r_cl < math.inf:  # an infinite resistance is a zero FI
         raise NonPositiveFiError(f"classical resistance must be > 0, got {r_cl}")
     if r_cl + v <= 0.0:
         raise DegenerateBenchmarkError(
@@ -183,11 +184,11 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     """Dephasing rate gamma_star at which the chain gain Gamma_K(gamma)
     crosses 1, for the noisy fringe with `base`'s eps_r and vartheta0.
 
-    Scans 64 bracketing points over gamma_range in one array evaluation,
-    then bisects the first sign-change bracket [a, b], keeping
-    Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide; returns
-    its midpoint.  The bisection is batched: each round evaluates the next
-    six levels of midpoints at once and walks that tree with the scalar
+    Scans 64 bracketing points over gamma_range (finite, 0 <= lo < hi) in
+    one array evaluation, then bisects the first sign-change bracket [a, b],
+    keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide;
+    returns its midpoint.  The bisection is batched: each round evaluates the
+    next six levels of midpoints at once and walks that tree with the scalar
     bisection's test, so gamma_star is bit-identical to bisecting one
     midpoint at a time.  A zero segment FI raises only at a point that
     scalar bisection would evaluate.
@@ -198,11 +199,12 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
         m = NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
         f_segment = m.fi(t_total / k)
-        # points off the bisection path may have a zero segment FI
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # off the bisection path: a zero segment FI, or gamma t overflowing
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return m.fi(t_total) * k / f_segment - 1.0, f_segment
 
-    lo, hi = gamma_range
+    lo = require_real(gamma_range[0], "gamma_range[0]", 0)
+    hi = require_real(gamma_range[1], "gamma_range[1]", lo, bounds="(]")
     grid = np.linspace(lo, hi, 64)
     vals, f_segment = excess(grid)
     _require_positive(f_segment=f_segment)
@@ -248,6 +250,7 @@ def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
     b (`nsit_holds`), that the family's FI is 1 everywhere, and that V = -1
     for every nontrivial split.  Returns (nsit_holds, witness value).
     """
+    grid_points = require_integral(grid_points, "grid_points", 2)
     model = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_points)
 
@@ -278,8 +281,7 @@ def _require_chain(k, total: float, name: str) -> int:
     k an integral value in [2, MAX_CHAIN_K] (an integral float such as 4.0
     acts as 4) and a finite total > 0.  Returns k as an int."""
     k = require_integral(k, "k", 2, MAX_CHAIN_K)
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(f"need a finite {name} > 0, got {total}")
+    require_real(total, name, 0, bounds="(]")
     return k
 
 
