@@ -18,7 +18,9 @@ effective config, seed, wall clock); JSON output is {"meta": ..., "columns":
 via --config to reproduce the run.  Each column has one type: integers print
 as integers, floats with 17 significant digits, and a non-finite float as
 inf/-inf in CSV and null in JSON; an exit-0 table never holds NaN.
-Configuration precedence is CLI flags > config file > defaults.  Exit codes:
+Configuration precedence is CLI flags > config file > defaults.  Every flag
+is checked against its kind in _SPECS when given, whether or not the command
+or its model uses it, so the config echo is always strict JSON.  Exit codes:
 0 success, 2 configuration error (including an unknown or malformed flag),
 3 numerical degeneracy; codes 2 and 3 print one line on stderr.
 """
@@ -26,6 +28,7 @@ Configuration precedence is CLI flags > config file > defaults.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -42,7 +45,7 @@ from .estimate import (_sample_contexts, analytic_certification, certify_vk,
                        mc_rmse)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
-from .rng import require_real
+from .rng import require_integral, require_real
 from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
                       k_chain_gain, nsit_separation_demo, v_path)
 
@@ -131,70 +134,70 @@ def _cells(col: np.ndarray, csv: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 # configuration
 
-# per-command experiment parameters: key -> (type, default)
-_SPECS: dict[str, dict[str, tuple[type, object]]] = {
-    "fi": {
-        "model": (str, "noisy"),
-        "vartheta": (float, 0.0),
-        "varphi": (float, math.pi / 2),
-        "gamma": (float, 0.25),
-        "eps_r": (float, 0.02),
-        "vartheta0": (float, 0.0),
-        "grid": (str, "0.05:6.25:200"),
-    },
-    "landscape": {
-        "vartheta": (float, 0.7 * math.pi),
-        "varphi": (float, 0.3 * math.pi),
-        "grid": (str, "0.05:6.0:64"),
-        "grid_cb": (str, ""),
-        "clip_v": (float, 10.0),
-        "clip_g": (float, 5.0),
-    },
-    "certify": {
-        "gamma": (float, 0.25),
-        "eps_r": (float, 0.02),
-        "vartheta0": (float, 0.0),
-        "k": (int, 4),
-        "t_total": (float, math.pi / 2),
-        "shots": (int, 1000),
-        "se_mode": (str, "analytic-moment"),
-        "gamma_grid": (str, ""),
-        "shots_grid": (str, ""),
-    },
-    "adversary": {
-        "l": (int, 5),
-        "m": (int, 5),
-        "restarts": (int, 36),
-        "steps": (int, 2000),
-        "lr": (float, 0.05),
-    },
-    "rmse": {
-        "model": (str, "ideal"),
-        "vartheta": (float, 0.0),
-        "varphi": (float, math.pi / 2),
-        "gamma": (float, 0.25),
-        "eps_r": (float, 0.02),
-        "vartheta0": (float, 0.0),
-        "theta": (float, math.pi / 2),
-        "n_grid": (str, "100:100000:7"),
-        "reps": (int, 1000),
-    },
-    "chain": {
-        "gamma_grid": (str, "0.0:0.6:25"),
-        "k": (int, 4),
-        "k_grid": (str, ""),
-        "eps_r": (float, 0.02),
-        "vartheta0": (float, 0.0),
-        "t_total": (float, math.pi / 2),
-    },
-    "nsit-demo": {},
-    "crossing": {
-        "k": (int, 4),
-        "t_total": (float, math.pi / 2),
-        "eps_r": (float, 0.02),
-        "vartheta0": (float, 0.0),
-        "gamma_max": (float, 2.0),
-    },
+# Every flag of every command: key -> (kind, default).  A kind is int, float
+# (finite), str, or a tuple of the accepted strings; _coerce checks each
+# value, from argv or a config file, against it.
+_MODEL = {
+    "model": (("ideal", "noisy"), "noisy"),
+    "vartheta": (float, 0.0),
+    "varphi": (float, math.pi / 2),
+    "gamma": (float, 0.25),
+    "eps_r": (float, 0.02),
+    "vartheta0": (float, 0.0),
+}
+# the noisy model's flags other than its rate gamma
+_NOISE = {key: _MODEL[key] for key in ("eps_r", "vartheta0")}
+_SPECS: dict[str, dict[str, tuple[object, object]]] = {
+    command: {"seed": (int, None), "format": (("csv", "json"), "csv"), **spec}
+    for command, spec in {
+        "fi": {**_MODEL, "grid": (str, "0.05:6.25:200")},
+        "landscape": {
+            "vartheta": (float, 0.7 * math.pi),
+            "varphi": (float, 0.3 * math.pi),
+            "grid": (str, "0.05:6.0:64"),
+            "grid_cb": (str, ""),
+            "clip_v": (float, 10.0),
+            "clip_g": (float, 5.0),
+        },
+        "certify": {
+            "gamma": _MODEL["gamma"],
+            **_NOISE,
+            "k": (int, 4),
+            "t_total": (float, math.pi / 2),
+            "shots": (int, 1000),
+            "se_mode": (("analytic-moment", "empirical"), "analytic-moment"),
+            "gamma_grid": (str, ""),
+            "shots_grid": (str, ""),
+        },
+        "adversary": {
+            "l": (int, 5),
+            "m": (int, 5),
+            "restarts": (int, 36),
+            "steps": (int, 2000),
+            "lr": (float, 0.05),
+        },
+        "rmse": {
+            **_MODEL,
+            "model": (_MODEL["model"][0], "ideal"),
+            "theta": (float, math.pi / 2),
+            "n_grid": (str, "100:100000:7"),
+            "reps": (int, 1000),
+        },
+        "chain": {
+            "gamma_grid": (str, "0.0:0.6:25"),
+            "k": (int, 4),
+            "k_grid": (str, ""),
+            **_NOISE,
+            "t_total": (float, math.pi / 2),
+        },
+        "nsit-demo": {},
+        "crossing": {
+            "k": (int, 4),
+            "t_total": (float, math.pi / 2),
+            **_NOISE,
+            "gamma_max": (float, 2.0),
+        },
+    }.items()
 }
 
 # commands that always draw samples and therefore require a seed;
@@ -210,18 +213,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag collects its string; _coerce converts it."""
     parser = _Parser(prog="cfii", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _SPECS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=argparse.SUPPRESS)
-        for key, (typ, _default) in spec.items():
-            p.add_argument("--" + key.replace("_", "-"), type=typ, dest=key,
-                           default=argparse.SUPPRESS)
+        for key, (kind, _default) in spec.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           default=argparse.SUPPRESS,
+                           metavar="{%s}" % ",".join(kind)
+                           if isinstance(kind, tuple) else None)
     return parser
 
 
@@ -232,56 +235,55 @@ def _load_config_file(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    allowed = set(_SPECS[command]) | {"seed", "format"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(_SPECS[command])
     if unknown:
         raise ConfigError(
             f"unknown config keys for {command}: {sorted(unknown)}")
     return raw
 
 
-def _coerce(command: str, key: str, value):
-    if key == "seed":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"seed must be an integer, got {value!r}")
+def _coerce(key: str, kind, default, value):
+    """`value` of flag `key` checked against its kind: a string, one of a
+    tuple's strings, an int64 or a finite float (a string is parsed first,
+    and true and false are not numbers).  None stays None where the default
+    is None; the library checks each value against its own domain."""
+    if value is None and default is None:
         return value
-    if key == "format":
-        if value not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {value!r}")
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(
+                f"{key} must be {' or '.join(kind)}, got {value!r}")
         return value
-    typ, _ = _SPECS[command][key]
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = kind(value)
+    elif isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        if typ is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError("not an integer")
-            return int(value)
-        if typ is float:
-            return float(value)
-        return str(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        return (require_integral(value, key, -2 ** 63) if kind is int
+                else require_real(value, key))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_config(argv: list[str]) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
-    command = ns.command
-    merged: dict = {key: default
-                    for key, (_t, default) in _SPECS[command].items()}
-    merged.update({"seed": None, "format": "csv"})
+    spec = _SPECS[ns.command]
+    merged = {key: default for key, (_kind, default) in spec.items()}
     if ns.config:
-        merged.update(_load_config_file(ns.config, command))
-    for key, value in vars(ns).items():
-        if key not in ("command", "config", "out"):
-            merged[key] = value
-    merged = {key: _coerce(command, key, value)
+        merged.update(_load_config_file(ns.config, ns.command))
+    merged.update((key, value) for key, value in vars(ns).items()
+                  if key in spec)
+    params = {key: _coerce(key, *spec[key], value)
               for key, value in merged.items()}
-    seed = merged.pop("seed")
-    fmt = merged.pop("format")
-    if command in _STOCHASTIC and seed is None:
-        raise ConfigError(f"{command} is stochastic: --seed is required")
-    return ExperimentConfig(command=command, params=merged, seed=seed,
+    seed, fmt = params.pop("seed"), params.pop("format")
+    if ns.command in _STOCHASTIC and seed is None:
+        raise ConfigError(f"{ns.command} is stochastic: --seed is required")
+    return ExperimentConfig(command=ns.command, params=params, seed=seed,
                             out=ns.out, fmt=fmt)
 
 
@@ -325,13 +327,10 @@ def _product_columns(outer: np.ndarray,
 
 
 def _model_from(params: dict) -> BinaryModel:
-    kind = params["model"]
-    if kind == "ideal":
+    if params["model"] == "ideal":
         return QubitFringeModel(QubitPreparation(
             vartheta=params["vartheta"], varphi=params["varphi"]))
-    if kind == "noisy":
-        return _noisy(params, params["gamma"])
-    raise ConfigError(f"model must be ideal or noisy, got {kind!r}")
+    return _noisy(params, params["gamma"])
 
 
 def _noisy(params: dict, gamma: float) -> NoisyFringeModel:
@@ -376,9 +375,6 @@ def cmd_landscape(config: ExperimentConfig) -> ResultTable:
 
 def cmd_certify(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    if params["se_mode"] not in ("analytic-moment", "empirical"):
-        raise ConfigError(f"se-mode must be analytic-moment or empirical, "
-                          f"got {params['se_mode']!r}")
     if params["gamma_grid"] or params["shots_grid"]:
         return _certify_sweep(params)
     if config.seed is None:
@@ -449,7 +445,7 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
-    theta = require_real(params["theta"], "theta")
+    theta = params["theta"]
     f = model.fi(theta)
     if f <= 0.0:
         raise ConfigError("reference bounds undefined: FI is zero at theta")

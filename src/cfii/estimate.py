@@ -55,6 +55,7 @@ class ContextSample:
     n0: int
 
     def __post_init__(self) -> None:
+        require_real(self.theta, "theta")
         require_integral(self.n0, "n0", 0, require_integral(self.n, "n", 1))
 
 
@@ -186,7 +187,7 @@ def _scores(z: float, zd: float) -> tuple[float, float]:
 
 def analytic_mu4(model: BinaryModel, theta: float) -> float:
     """Fourth moment of the score, sum_x p_x s_x^4."""
-    return _mu4(*_fringe(model, theta))
+    return _mu4(*_fringe(model, require_real(theta, "theta")))
 
 
 def _mu4(z: float, zd: float) -> float:
@@ -202,6 +203,7 @@ def _mu4(z: float, zd: float) -> float:
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
+    theta = require_real(theta, "theta")
     n = require_integral(n, "n", 1)
     return _moments(model, theta, *_fringe(model, theta), n)[1]
 

@@ -14,10 +14,13 @@ families are provided:
       z(theta) = (1 - 2 eps_r) exp(-gamma theta) cos(theta - vartheta0).
 
 Per-outcome scores are s0 = zdot/(1 + z) and s1 = -zdot/(1 - z); the Fisher
-information is F = zdot^2 / (1 - z^2).  Points with z^2 = 1 are removable
-singularities for these families (zdot vanishes there too); `fi` detects
-|1 - z^2| < 1e-12 and returns the analytic limit -z * zddot obtained from the
-second-order expansion of z about theta.
+information is F = zdot^2 / (1 - z^2).  A point with z^2 = 1 is a removable
+singularity where zdot vanishes too: `fi` detects |1 - z^2| < 1e-12 and,
+where zdot^2 is below the same tolerance, returns the analytic limit
+-z * zddot obtained from the second-order expansion of z about theta.  A
+point with z^2 = 1 and zdot != 0 (the lossless damped fringe at theta = 0
+with vartheta0 a multiple of pi, where zdot = -/+gamma) is irregular, and
+`fi` raises DegenerateModelError there.
 
 `CategoricalModel` carries a finite outcome distribution together with its
 parameter derivative at one expansion point, which is all the Fisher
@@ -103,7 +106,8 @@ class BinaryModel(ABC):
 
     def fi(self, theta):
         """Fisher information zdot^2 / (1 - z^2), with the continuous
-        extension -z * zddot where 1 - z^2 underflows the tolerance."""
+        extension -z * zddot where 1 - z^2 and zdot^2 underflow the
+        tolerance; DegenerateModelError where only 1 - z^2 does."""
         return self._fi(theta, self.z(theta), self.zdot(theta))
 
     def _fi(self, theta, z, zd):
@@ -111,12 +115,14 @@ class BinaryModel(ABC):
         singular point."""
         denom = 1.0 - z * z
         singular = np.abs(denom) < SINGULARITY_TOL
-        if np.ndim(denom) == 0:
-            if singular:
-                return -z * self.zddot(theta)
+        scalar = np.ndim(denom) == 0
+        if not (singular if scalar else singular.any()):
             return zd * zd / denom
-        if not singular.any():
-            return zd * zd / denom
+        if np.any(singular & ~(zd * zd < SINGULARITY_TOL)):
+            raise DegenerateModelError(
+                "irregular fringe point: z^2 = 1 with nonzero zdot")
+        if scalar:
+            return -z * self.zddot(theta)
         safe = np.where(singular, 1.0, denom)
         return np.where(singular, -z * self.zddot(theta), zd * zd / safe)
 

@@ -104,13 +104,15 @@ class TestConfig:
     def test_fractional_value_rejected_for_int(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"shots": 12.5}))
-        with pytest.raises(ConfigError, match="bad value for shots"):
+        with pytest.raises(ConfigError,
+                           match=r"^shots must be an integral value, got 12\.5$"):
             build_config(["certify", "--config", str(path)])
 
     def test_bad_seed_type(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"seed": "abc"}))
-        with pytest.raises(ConfigError, match="seed must be an integer"):
+        with pytest.raises(ConfigError,
+                           match="^seed must be an integral value, got 'abc'$"):
             build_config(["fi", "--config", str(path)])
 
     def test_stochastic_commands_require_seed(self, capsys):
@@ -175,6 +177,15 @@ class TestFiCommand:
         code, _, err = run_cli(capsys, ["fi", "--grid=-1.0:1.0:5"])
         assert code == 2
         assert "theta >= 0" in err
+
+    def test_irregular_fringe_point_is_a_degeneracy(self, capsys):
+        # z = 1 at theta = 0 while zdot = -gamma: not a removable point
+        code, out, err = run_cli(capsys, [
+            "fi", "--model", "noisy", "--eps-r", "0", "--gamma", "2",
+            "--grid", "0:0.001:3"])
+        assert (code, out) == (3, "")
+        assert err == ("cfii: numerical degeneracy: irregular fringe point: "
+                       "z^2 = 1 with nonzero zdot\n")
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(capsys, ["fi", "--model", "exact"])
@@ -635,14 +646,12 @@ _GRIDS = st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, st.integers(0, 4))
 _BUDGET = ("restarts", "steps")
 
 
-def _flag_values(key, typ):
+def _flag_values(key, kind):
     if key.endswith("grid") or key == "grid_cb":
         return _GRIDS
-    if key == "model":
-        return st.sampled_from(["ideal", "noisy", "exact"])
-    if key == "se_mode":
-        return st.sampled_from(["empirical", "analytic-moment", "exact"])
-    if typ is int:
+    if isinstance(kind, tuple):
+        return st.sampled_from([*kind, "exact"])
+    if kind is int:
         return st.integers(-2, 5).map(str) | st.sampled_from(["abc", "2.5"])
     return _FLOATS
 
@@ -651,8 +660,10 @@ def _argv(command):
     spec = _SPECS[command]
     required = {key: st.integers(-1, 3).map(str)
                 for key in _BUDGET if key in spec}
-    optional = {key: _flag_values(key, typ)
-                for key, (typ, _) in spec.items() if key not in required}
+    # the test renders each exit-0 run in both formats
+    optional = {key: _flag_values(key, kind)
+                for key, (kind, _) in spec.items()
+                if key not in required and key != "format"}
     return st.fixed_dictionaries(required, optional=optional).map(
         lambda flags: [command, "--seed", "1"] + [
             f"--{key.replace('_', '-')}={value}"
@@ -675,10 +686,15 @@ def _argv(command):
 @example(argv=["frobnicate"])
 @example(argv=["fi", "--format", "xml"])
 @example(argv=["chain", "--k", "2.5"])
+@example(argv=["fi", "--vartheta", "nan"])
+@example(argv=["rmse", "--seed", "1", "--gamma", "inf", "--n-grid",
+               "100:200:2", "--reps", "5"])
+@example(argv=["fi", "--model", "noisy", "--eps-r", "0", "--gamma", "2",
+               "--grid", "0:0.001:3"])
 def test_fuzzed_flags_exit_cleanly(argv):
-    """Any flag values end in exit 0 with finite cells, or in exit 2/3
-    with a single stderr line; no exception or RuntimeWarning escapes
-    main."""
+    """Any flag values end in exit 0 with finite cells and a strict-JSON
+    rendering, or in exit 2/3 with a single stderr line; no exception or
+    RuntimeWarning escapes main."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -686,8 +702,79 @@ def test_fuzzed_flags_exit_cleanly(argv):
     if code == 0:
         _, _, rows = parse_csv(out.getvalue())
         assert not any(cell == "nan" for row in rows for cell in row)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", "json"]) == 0
+        strict_json(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+def strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which RFC 8259
+    does not allow."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestFlagRule:
+    """Every flag of every command is checked when the config is built,
+    whether or not the command or its model uses it (`fi --vartheta nan`
+    has the noisy model, `rmse --gamma inf` the ideal one), so the config
+    echo is always strict JSON."""
+
+    @staticmethod
+    def refusal(capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1, argv
+        return err
+
+    @staticmethod
+    def config_argv(tmp_path, command, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 1, key: value}))
+        return [command, "--config", str(path)]
+
+    @pytest.mark.parametrize("command", sorted(_SPECS))
+    def test_non_finite_float_refused(self, capsys, tmp_path, command):
+        for key, (kind, _) in _SPECS[command].items():
+            if kind is not float:
+                continue
+            for value in (math.nan, math.inf, -math.inf):
+                expected = (f"cfii: config error: {key} must lie in "
+                            f"(-inf, inf), got {value}\n")
+                assert self.refusal(capsys, [
+                    command, "--seed", "1", f"{_flag(key)}={value}"]) == expected
+                assert self.refusal(capsys, self.config_argv(
+                    tmp_path, command, key, value)) == expected
+
+    @pytest.mark.parametrize("command", sorted(_SPECS))
+    def test_unknown_choice_refused(self, capsys, tmp_path, command):
+        for key, (kind, _) in _SPECS[command].items():
+            if not isinstance(kind, tuple):
+                continue
+            expected = (f"cfii: config error: {key} must be "
+                        f"{' or '.join(kind)}, got {{!r}}\n")
+            assert self.refusal(capsys, [command, "--seed", "1", _flag(key),
+                                         "exact"]) == expected.format("exact")
+            # and JSON values that no command-line string gives
+            for value in ("exact", 1, True, None):
+                assert self.refusal(capsys, self.config_argv(
+                    tmp_path, command, key, value)) == expected.format(value)
+
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path):
+        for command, spec in _SPECS.items():
+            for key, (kind, _) in spec.items():
+                if kind in (int, float):
+                    assert self.refusal(capsys, self.config_argv(
+                        tmp_path, command, key, True)) == (
+                        f"cfii: config error: {key} must be a number, "
+                        "got True\n")
 
 
 class TestOutputPlumbing:
@@ -705,20 +792,29 @@ class TestOutputPlumbing:
         assert len(rows) == 3
 
     def test_config_echo_reproduces_run(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, [
-            "chain", "--gamma-grid", "0.1:0.3:3", "--format", "json"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["meta"]["command"] == "chain"
-        path = tmp_path / "echo.json"
-        path.write_text(json.dumps(doc["meta"]["config"]))
-        code, out2, _ = run_cli(capsys, [
-            "chain", "--config", str(path), "--format", "json"])
-        assert code == 0
-        doc2 = json.loads(out2)
-        doc["meta"].pop("wallclock")
-        doc2["meta"].pop("wallclock")
-        assert doc == doc2
+        # one run of each command, seeded (seed: n) and not (seed: null)
+        for argv in (["chain", "--gamma-grid", "0.1:0.3:3"],
+                     ["fi", "--model", "ideal", "--grid", "0.1:1.1:3"],
+                     ["certify", "--seed", "3", "--shots", "50"],
+                     ["adversary", "--seed", "2", "--l", "2", "--m", "3",
+                      "--restarts", "2", "--steps", "5"],
+                     ["rmse", "--seed", "1", "--n-grid", "100:200:2",
+                      "--reps", "20"],
+                     ["landscape", "--grid", "0.1:1.1:3"],
+                     ["nsit-demo"], ["crossing", "--k", "3"]):
+            code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+            assert code == 0
+            doc = strict_json(out)
+            assert doc["meta"]["command"] == argv[0]
+            path = tmp_path / "echo.json"
+            path.write_text(json.dumps(doc["meta"]["config"]))
+            code, out2, _ = run_cli(capsys, [
+                argv[0], "--config", str(path), "--format", "json"])
+            assert code == 0
+            doc2 = strict_json(out2)
+            doc["meta"].pop("wallclock")
+            doc2["meta"].pop("wallclock")
+            assert doc == doc2
 
     @pytest.mark.parametrize("argv, int_columns", [
         (["fi", "--grid", "0.1:1.1:3"], set()),

@@ -19,7 +19,7 @@ from cfii.adversary import (MAX_BATCH_PARAMS, MAX_LR, AdversaryParams,
 from cfii.errors import (EstimationError, NonPositiveFiError,
                          NonStochasticChannelError, NotPositiveDefiniteError)
 from cfii.estimate import (MAX_REPS, MAX_SHOTS, ContextSample, FiEstimate,
-                           analytic_certification, certify_vk,
+                           analytic_certification, analytic_mu4, certify_vk,
                            classifier_fi, classifier_score,
                            fi_estimate_variance, mc_rmse, mc_vk_distribution,
                            mle_theta, sample_binary)
@@ -259,6 +259,12 @@ REAL_SITES = {
         "value", "[0, inf)", lambda v: FiEstimate(v, 0.0, 10)),
     "FiEstimate.variance": (
         "variance", "[0, inf)", lambda v: FiEstimate(1.0, v, 10)),
+    "ContextSample.theta": (
+        "theta", "(-inf, inf)", lambda v: ContextSample(v, 10, 5)),
+    "analytic_mu4.theta": (
+        "theta", "(-inf, inf)", lambda v: analytic_mu4(NOISY, v)),
+    "fi_estimate_variance.theta": (
+        "theta", "(-inf, inf)", lambda v: fi_estimate_variance(NOISY, v, 10)),
     "sample_binary.p0": (
         "p0", "[0, 1]", lambda v: sample_binary(_FixedP0(v), 0.7, 10, 1)),
     "analytic_certification.t_total": (
@@ -404,8 +410,7 @@ class TestOverflowAndWarnings:
         (["crossing", "--gamma-max", "1e308"], 3,
          "cfii: numerical degeneracy: f_segment must be > 0, got 0.0\n"),
         (["crossing", "--gamma-max", "nan"], 2,
-         "cfii: config error: gamma_range[1] must lie in (0.0, inf), "
-         "got nan\n"),
+         "cfii: config error: gamma_max must lie in (-inf, inf), got nan\n"),
         (["landscape", "--grid", "0:1e308:3"], 2,
          "cfii: config error: --grid endpoints must lie in "
          "[-8.988465674311579e+307, 8.988465674311579e+307], got 1e+308\n"),

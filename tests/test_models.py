@@ -123,19 +123,32 @@ class TestNoisyFringe:
     @pytest.mark.parametrize("vartheta0", [0.0, 0.7])
     def test_gamma_grid_matches_scalar_models(self, eps_r, vartheta0):
         # gamma = 0 and eps_r = 0 at theta = vartheta0 (+ pi) is the
-        # removable singularity z^2 = 1
+        # removable singularity z^2 = 1; at theta = vartheta0 = 0, z = 1 for
+        # every gamma but zdot = -gamma, so fi refuses the gamma > 0 points
         gammas = np.array([0.0, 1e-9, 0.25, 1.0, 3.0])
         grid = NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=eps_r, vartheta0=vartheta0))
         for theta in (0.0, vartheta0, vartheta0 + math.pi, 0.4, 2.9):
+            irregular = ([0.25, 1.0, 3.0]
+                         if theta == vartheta0 == eps_r == 0.0 else [])
             for name in ("z", "zdot", "zddot", "fi"):
-                scalar = np.array([
-                    getattr(NoisyFringeModel(NoisyFringeParams(
-                        gamma=g, epsilon_r=eps_r, vartheta0=vartheta0)),
-                        name)(theta)
-                    for g in gammas.tolist()])
-                assert (getattr(grid, name)(theta).tobytes()
-                        == scalar.tobytes()), (name, theta)
+                scalar, refused = [], []
+                for g in gammas.tolist():
+                    model = NoisyFringeModel(NoisyFringeParams(
+                        gamma=g, epsilon_r=eps_r, vartheta0=vartheta0))
+                    try:
+                        scalar.append(getattr(model, name)(theta))
+                    except DegenerateModelError:
+                        refused.append(g)
+                assert refused == (irregular if name == "fi" else []), (
+                    name, theta)
+                if refused:
+                    with pytest.raises(DegenerateModelError,
+                                       match="^irregular fringe point"):
+                        getattr(grid, name)(theta)
+                else:
+                    assert (getattr(grid, name)(theta).tobytes()
+                            == np.array(scalar).tobytes()), (name, theta)
 
 
 class TestScores:
