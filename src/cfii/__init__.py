@@ -19,6 +19,8 @@ The package is organised around one pipeline:
 __version__ = "0.1.0"
 
 import os
+import sys
+from importlib import import_module
 
 # OpenBLAS starts its worker threads when numpy is imported, and each spins
 # for about 0.1 CPU-s waiting for work before it sleeps.  cfii's matrices are
@@ -27,57 +29,60 @@ import os
 # workers sleep at once keeps the pool, and the caller's own setting wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .adversary import (AdversaryParams, OptimizeResult, endpoint_fim,
-                        eval_kernels, gamma_adv, gamma_adv_gradient,
-                        module_fis, optimize_restarts)
-from .errors import (BranchWarning, CfiiError, DegenerateBenchmarkError,
-                     DegenerateModelError, EstimationError, NoCrossingError,
-                     NonPositiveFiError, NonStochasticChannelError,
-                     NotPositiveDefiniteError, OptimizationError,
-                     ResistanceOverflowError)
-from .estimate import (CertificationReport, ContextSample, FiEstimate,
-                       analytic_certification, analytic_mu4, certify_vk,
-                       classifier_fi, classifier_score, fi_estimate_variance,
-                       mc_rmse, mc_vk_distribution, mle_theta, plugin_fi,
-                       sample_binary)
-from .fim import (FisherMatrix, coarse_grain_fi, effective_fi,
-                  equicorrelated_effective_fi, equicorrelated_matrix,
-                  synergy_effective_fi, synergy_window)
-from .models import (BinaryModel, CategoricalModel, NoisyFringeModel,
-                     NoisyFringeParams, QubitFringeModel, QubitPreparation,
-                     categorical_fi, categorical_product)
-from .rng import derive_rng
-from .witness import (WitnessReport, classical_benchmark_path, gain_indicator,
-                      gamma_crossing, improvement_factor, k_chain_gain,
-                      nsit_separation_demo, split_optimized_benchmark,
-                      v_chain, v_path)
+# Each public name -> the submodule that defines it.  A name is looked up in
+# its submodule on every access (PEP 562 __getattr__) and never copied into
+# this namespace, so `import cfii` loads no layer and no numpy, a CLI call
+# loads only its command's layers, and a patched submodule attribute is what
+# cfii.<name> returns.
+_EXPORTS = {
+    **dict.fromkeys((
+        "CfiiError", "DegenerateModelError", "NonPositiveFiError",
+        "NotPositiveDefiniteError", "NonStochasticChannelError",
+        "OptimizationError", "NoCrossingError", "DegenerateBenchmarkError",
+        "EstimationError", "ResistanceOverflowError", "BranchWarning"),
+        "errors"),
+    "derive_rng": "rng",
+    **dict.fromkeys((
+        "QubitPreparation", "NoisyFringeParams", "BinaryModel",
+        "QubitFringeModel", "NoisyFringeModel", "CategoricalModel",
+        "categorical_fi", "categorical_product"), "models"),
+    **dict.fromkeys((
+        "FisherMatrix", "effective_fi", "synergy_effective_fi",
+        "synergy_window", "equicorrelated_effective_fi",
+        "equicorrelated_matrix", "coarse_grain_fi"), "fim"),
+    **dict.fromkeys((
+        "WitnessReport", "v_path", "v_chain", "classical_benchmark_path",
+        "gain_indicator", "improvement_factor", "split_optimized_benchmark",
+        "k_chain_gain", "gamma_crossing", "nsit_separation_demo"), "witness"),
+    **dict.fromkeys((
+        "ContextSample", "FiEstimate", "CertificationReport", "sample_binary",
+        "plugin_fi", "analytic_mu4", "fi_estimate_variance", "certify_vk",
+        "analytic_certification", "classifier_score", "classifier_fi",
+        "mle_theta", "mc_rmse", "mc_vk_distribution"), "estimate"),
+    **dict.fromkeys((
+        "AdversaryParams", "OptimizeResult", "eval_kernels", "module_fis",
+        "endpoint_fim", "gamma_adv", "gamma_adv_gradient",
+        "optimize_restarts"), "adversary"),
+}
+_SUBMODULES = {*_EXPORTS.values(), "cli"}
 
-__all__ = [
-    "__version__",
-    # errors
-    "CfiiError", "DegenerateModelError", "NonPositiveFiError",
-    "NotPositiveDefiniteError", "NonStochasticChannelError",
-    "OptimizationError", "NoCrossingError", "DegenerateBenchmarkError",
-    "EstimationError", "ResistanceOverflowError", "BranchWarning",
-    # rng
-    "derive_rng",
-    # models
-    "QubitPreparation", "NoisyFringeParams", "BinaryModel",
-    "QubitFringeModel", "NoisyFringeModel", "CategoricalModel",
-    "categorical_fi", "categorical_product",
-    # fim
-    "FisherMatrix", "effective_fi", "synergy_effective_fi", "synergy_window",
-    "equicorrelated_effective_fi", "equicorrelated_matrix", "coarse_grain_fi",
-    # witness
-    "WitnessReport", "v_path", "v_chain", "classical_benchmark_path",
-    "gain_indicator", "improvement_factor", "split_optimized_benchmark",
-    "k_chain_gain", "gamma_crossing", "nsit_separation_demo",
-    # estimate
-    "ContextSample", "FiEstimate", "CertificationReport", "sample_binary",
-    "plugin_fi", "analytic_mu4", "fi_estimate_variance", "certify_vk",
-    "analytic_certification", "classifier_score", "classifier_fi",
-    "mle_theta", "mc_rmse", "mc_vk_distribution",
-    # adversary
-    "AdversaryParams", "OptimizeResult", "eval_kernels", "module_fis",
-    "endpoint_fim", "gamma_adv", "gamma_adv_gradient", "optimize_restarts",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(_submodule(_EXPORTS[name]), name)
+    if name in _SUBMODULES:
+        return _submodule(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _submodule(name: str):
+    # sys.modules first: import_module takes about 4 us on a loaded module,
+    # and a warm loop may look a name up at every call
+    full = f"{__name__}.{name}"
+    return sys.modules.get(full) or import_module(full)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -22,15 +22,25 @@ Configuration precedence is CLI flags > config file > defaults.  Every flag
 is checked against its kind in _SPECS when given, whether or not the command
 or its model uses it, so the config echo is always strict JSON.  Exit codes:
 0 success, 2 configuration error (including an unknown or malformed flag),
-3 numerical degeneracy; codes 2 and 3 print one line on stderr.
+3 numerical degeneracy; codes 2 and 3 print one line on stderr.  An --out
+file that cannot be written is a configuration error.  run() is the entry of
+a one-shot process (the cfii script and python -m cfii.cli); main() is the
+same driver for a caller that keeps running.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # a one-shot process (see run): no collections during numpy's import
+    gc.disable()
 
 import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -39,15 +49,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversary import optimize_restarts
 from .errors import CfiiError
-from .estimate import (_sample_contexts, analytic_certification, certify_vk,
-                       mc_rmse)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
 from .rng import require_integral, require_real
-from .witness import (classical_benchmark_path, gain_indicator, gamma_crossing,
-                      k_chain_gain, nsit_separation_demo, v_path)
+
+# Each command imports the layers it calls (adversary, estimate, witness) in
+# its own body, so a fresh process loads only those.
 
 # Metadata key holding the only non-reproducible field; comparisons between
 # runs must drop it.
@@ -352,6 +360,8 @@ def cmd_fi(config: ExperimentConfig) -> ResultTable:
 
 
 def cmd_landscape(config: ExperimentConfig) -> ResultTable:
+    from .witness import classical_benchmark_path, gain_indicator, v_path
+
     params = config.params
     model = QubitFringeModel(QubitPreparation(vartheta=params["vartheta"],
                                               varphi=params["varphi"]))
@@ -390,6 +400,8 @@ def _quantities(values: dict[str, float]) -> ResultTable:
 
 
 def _certify_point(params: dict, seed: int) -> ResultTable:
+    from .estimate import _sample_contexts, analytic_certification, certify_vk
+
     k, t_total, n = params["k"], params["t_total"], params["shots"]
     model = _noisy(params, params["gamma"])
     # first, so that bad t_total, k or shots stop the run before any sampling
@@ -410,6 +422,8 @@ def _certify_point(params: dict, seed: int) -> ResultTable:
 
 
 def _certify_sweep(params: dict) -> ResultTable:
+    from .estimate import analytic_certification
+
     gammas = (_parse_grid(params["gamma_grid"], "--gamma-grid")
               if params["gamma_grid"] else np.array([params["gamma"]]))
     shots = (_parse_int_grid(params["shots_grid"], "--shots-grid", np.geomspace)
@@ -430,6 +444,8 @@ def _certify_sweep(params: dict) -> ResultTable:
 
 
 def cmd_adversary(config: ExperimentConfig) -> ResultTable:
+    from .adversary import optimize_restarts
+
     params = config.params
     result = optimize_restarts(params["l"], params["m"],
                                n_restarts=params["restarts"],
@@ -443,6 +459,8 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
 
 
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
+    from .estimate import mc_rmse
+
     params = config.params
     model = _model_from(params)
     theta = params["theta"]
@@ -463,6 +481,8 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
 
 
 def cmd_chain(config: ExperimentConfig) -> ResultTable:
+    from .witness import k_chain_gain
+
     params = config.params
     gammas = _parse_grid(params["gamma_grid"], "--gamma-grid")
     ks = (_parse_int_grid(params["k_grid"], "--k-grid")
@@ -487,12 +507,16 @@ def cmd_chain(config: ExperimentConfig) -> ResultTable:
 
 
 def cmd_nsit_demo(config: ExperimentConfig) -> ResultTable:
+    from .witness import nsit_separation_demo
+
     nsit_holds, v = nsit_separation_demo()
     return _quantities({"nsit_holds": 1.0 if nsit_holds else 0.0,
                         "v_path": v})
 
 
 def cmd_crossing(config: ExperimentConfig) -> ResultTable:
+    from .witness import gamma_crossing
+
     params = config.params
     gamma_star = gamma_crossing(_noisy(params, 0.0).params,
                                 params["t_total"], params["k"],
@@ -546,7 +570,10 @@ def main(argv: list[str] | None = None) -> int:
         text = (table.render_json() if config.fmt == "json"
                 else table.render_csv())
         if config.out:
-            Path(config.out).write_text(text, encoding="utf-8")
+            try:
+                Path(config.out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out: {exc}") from exc
         else:
             sys.stdout.write(text)
         return 0
@@ -558,5 +585,26 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Run main() as a one-shot process and exit with its code: the entry of
+    the cfii script and of python -m cfii.cli.
+
+    The cyclic garbage collector stays off (a call makes few cycles and ends
+    soon), and everything alive is frozen before exit, so the interpreter's
+    final collection has nothing to scan.  A reader that closes stdout early
+    (cfii ... | head) ends the run with exit 1 and nothing on stderr.
+    """
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again: send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
