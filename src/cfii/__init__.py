@@ -60,9 +60,8 @@ _EXPORTS = {
         "analytic_certification", "classifier_score", "classifier_fi",
         "mle_theta", "mc_rmse", "mc_vk_distribution"), "estimate"),
     **dict.fromkeys((
-        "AdversaryParams", "OptimizeResult", "eval_kernels", "module_fis",
-        "endpoint_fim", "gamma_adv", "gamma_adv_gradient",
-        "optimize_restarts"), "adversary"),
+        "AdversaryParams", "OptimizeResult", "gamma_adv",
+        "gamma_adv_gradient", "optimize_restarts"), "adversary"),
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli"}
 

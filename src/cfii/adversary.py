@@ -19,19 +19,17 @@ bound can be approached.
 Gamma_adv, its gradient and the optimizer share one batched evaluation
 (`_forward`, one row per parameter point), and the gradient is computed
 analytically by reverse-mode composition through the softmax-tangent,
-module-FI, endpoint-FIM, and pseudoinverse stages (`_backward`).  The
-closed-form single-point stages `eval_kernels`, `module_fis` and
-`endpoint_fim` are kept as the reference that the batch is tested against.
+module-FI, endpoint-FIM, and pseudoinverse stages (`_backward`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBenchmarkError, OptimizationError
-from .fim import PINV_RCOND, ROWSPACE_TOL, FisherMatrix
+from .fim import PINV_RCOND, ROWSPACE_TOL
 from .rng import derive_rng, require_integral, require_real
 
 # Module FIs below this make the harmonic benchmark degenerate.
@@ -83,48 +81,11 @@ class OptimizeResult:
 
     best_gamma: float
     restart_gammas: tuple[float, ...]
-    trajectories: tuple[np.ndarray, ...] = field(default=())
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def eval_kernels(params: AdversaryParams
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kernels and their tangents at the expansion point."""
-    alpha = _softmax(params.a)
-    alpha_dot = alpha * (params.a_dot - alpha @ params.a_dot)
-    beta = _softmax(params.d)
-    beta_dot = beta * (params.d_dot
-                       - (beta * params.d_dot).sum(axis=1, keepdims=True))
-    return alpha, alpha_dot, beta, beta_dot
-
-
-def module_fis(kernels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-               ) -> tuple[float, float]:
-    """Local FIs F_ac = sum alpha_dot^2/alpha and
-    F_cb = sum_c alpha_c sum_b beta_dot^2/beta."""
-    alpha, alpha_dot, beta, beta_dot = kernels
-    f_ac = float(np.sum(alpha_dot ** 2 / alpha))
-    f_cb = float(np.sum(alpha * np.sum(beta_dot ** 2 / beta, axis=1)))
-    return f_ac, f_cb
-
-
-def endpoint_fim(kernels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-                 ) -> FisherMatrix:
-    """2x2 endpoint Fisher matrix of p_b in the two module parameters."""
-    alpha, alpha_dot, beta, beta_dot = kernels
-    p = beta.T @ alpha
-    v1 = beta.T @ alpha_dot
-    v2 = beta_dot.T @ alpha
-    live = p > 1e-300
-    mat = np.array([
-        [np.sum(v1[live] ** 2 / p[live]), np.sum(v1[live] * v2[live] / p[live])],
-        [np.sum(v1[live] * v2[live] / p[live]), np.sum(v2[live] ** 2 / p[live])],
-    ])
-    return FisherMatrix(0.5 * (mat + mat.T))
 
 
 def _unpack(theta: np.ndarray, l: int, m: int):
@@ -141,8 +102,8 @@ def _forward(theta: np.ndarray, l: int, m: int):
     Returns (gamma, degenerate, ctx).  A row whose module FI is below
     FI_FLOOR, or whose direction u leaves the endpoint row space (the blind
     m = 2 endpoint), gets gamma = 0 and a zero gradient.  Every other row
-    is effective_fi(endpoint_fim, u) * (1/F_ac + 1/F_cb) of the closed-form
-    stages: same eigendecomposition pseudoinverse, same cutoff constants.
+    is effective_fi(F_B, u) * (1/F_ac + 1/F_cb), with the eigendecomposition
+    pseudoinverse and cutoff constants of `effective_fi`.
     Rows never mix, so a row's value does not depend on the batch.
     """
     b = theta.shape[0]
@@ -248,8 +209,7 @@ def gamma_adv_gradient(params: AdversaryParams
 
 
 def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
-                      lr: float = 0.05, seed: int = 0,
-                      track_trajectories: bool = False) -> OptimizeResult:
+                      lr: float = 0.05, seed: int = 0) -> OptimizeResult:
     """Adam ascent on Gamma_adv from independent standard-normal
     initializations, one derived RNG stream per restart.
 
@@ -280,18 +240,14 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
     best = np.full(n_restarts, -np.inf)
-    trajectory = []
     for t in range(1, steps + 2):
         gamma, _, ctx = _forward(theta, l, m)
         np.maximum(best, gamma, out=best)
-        if track_trajectories:
-            trajectory.append(gamma)
         if t > steps:  # the final iterate is evaluated, not stepped
             break
         grad = _backward(ctx)
         if not (grad.any() or m1.any()):
             # each later Adam step is 0 (an all-blind batch): theta repeats
-            trajectory += [gamma] * (steps + 1 - t)
             break
         m1 = 0.9 * m1 + 0.1 * grad
         m2 = 0.999 * m2 + 0.001 * grad ** 2
@@ -299,9 +255,4 @@ def optimize_restarts(l: int, m: int, n_restarts: int = 36, steps: int = 2000,
         theta += lr * step
 
     bests = tuple(best.tolist())
-    return OptimizeResult(
-        best_gamma=max(bests),
-        restart_gammas=bests,
-        trajectories=(tuple(np.stack(trajectory, axis=1))
-                      if track_trajectories else ()),
-    )
+    return OptimizeResult(best_gamma=max(bests), restart_gammas=bests)

@@ -282,7 +282,7 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     spec = _SPECS[ns.command]
     merged = {key: default for key, (_kind, default) in spec.items()}
-    if ns.config:
+    if ns.config is not None:
         merged.update(_load_config_file(ns.config, ns.command))
     merged.update((key, value) for key, value in vars(ns).items()
                   if key in spec)
@@ -467,9 +467,14 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     f = model.fi(theta)
     if f <= 0.0:
         raise ConfigError("reference bounds undefined: FI is zero at theta")
-    n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
     vartheta = (params["vartheta"] if params["model"] == "ideal"
                 else params["vartheta0"])
+    # outside its branch the MLE is pinned or mirrored, not unbiased
+    if not vartheta < theta < vartheta + math.pi:
+        raise ConfigError(
+            f"theta must lie inside the MLE branch (vartheta, vartheta + pi)"
+            f" = ({vartheta!r}, {vartheta + math.pi!r}), got {theta!r}")
+    n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
     crb = 1.0 / np.sqrt(n_values * f)
     return ResultTable({
         "n": n_values,
@@ -569,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         table = execute(config)
         text = (table.render_json() if config.fmt == "json"
                 else table.render_csv())
-        if config.out:
+        if config.out is not None:
             try:
                 Path(config.out).write_text(text, encoding="utf-8")
             except OSError as exc:

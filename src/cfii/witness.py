@@ -238,7 +238,7 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     return 0.5 * (a + b)
 
 
-def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
+def nsit_separation_demo() -> tuple[bool, float]:
     """Constant-FI fringe that satisfies no-signaling-in-time yet violates
     every path witness maximally.
 
@@ -250,9 +250,8 @@ def nsit_separation_demo(grid_points: int = 1000) -> tuple[bool, float]:
     b (`nsit_holds`), that the family's FI is 1 everywhere, and that V = -1
     for every nontrivial split.  Returns (nsit_holds, witness value).
     """
-    grid_points = require_integral(grid_points, "grid_points", 2)
     model = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_points)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 1000)
 
     p0 = model.p0(thetas)
     joint = np.multiply.outer([0.5, 0.5], [p0, 1.0 - p0])  # p(a, b, theta)

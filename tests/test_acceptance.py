@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from cfii.adversary import (AdversaryParams, endpoint_fim, eval_kernels,
-                            gamma_adv, gamma_adv_gradient, module_fis,
-                            optimize_restarts)
+from adversary_reference import (endpoint_fim, eval_kernels,
+                                 joint_model_reference, module_fis,
+                                 params_from_vector)
+from cfii.adversary import gamma_adv, gamma_adv_gradient, optimize_restarts
 from cfii.cli import main
 from cfii.estimate import (analytic_certification, classifier_fi, mc_rmse,
                            mc_vk_distribution)
@@ -170,34 +171,6 @@ def test_data_processing_inequality():
                     <= categorical_fi(model) + 1e-10)
 
 
-def _params_from_vector(x, l, m):
-    return AdversaryParams(a=x[:l], a_dot=x[l:2 * l],
-                           d=x[2 * l:2 * l + l * m].reshape(l, m),
-                           d_dot=x[2 * l + l * m:].reshape(l, m))
-
-
-def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _joint_model_reference(params, h=1e-5):
-    alpha_at = lambda t: _softmax(params.a + t * params.a_dot)
-    beta_at = lambda t: _softmax(params.d + t * params.d_dot)
-    p_b = lambda t1, t2: beta_at(t2).T @ alpha_at(t1)
-    alpha, beta = alpha_at(0.0), beta_at(0.0)
-    d_alpha = (alpha_at(h) - alpha_at(-h)) / (2 * h)
-    d_beta = (beta_at(h) - beta_at(-h)) / (2 * h)
-    f_ac = float(np.sum(d_alpha ** 2 / alpha))
-    f_cb = float(np.sum(alpha * np.sum(d_beta ** 2 / beta, axis=1)))
-    p = p_b(0.0, 0.0)
-    d1 = (p_b(h, 0.0) - p_b(-h, 0.0)) / (2 * h)
-    d2 = (p_b(0.0, h) - p_b(0.0, -h)) / (2 * h)
-    fim = np.array([[np.sum(d1 * d1 / p), np.sum(d1 * d2 / p)],
-                    [np.sum(d1 * d2 / p), np.sum(d2 * d2 / p)]])
-    return f_ac, f_cb, fim
-
-
 def test_adversary_saturation_frontier():
     with budget("adversary-frontier", 120.0):
         result = optimize_restarts(5, 5, n_restarts=36, steps=2000, seed=0)
@@ -211,7 +184,7 @@ def test_adversary_saturation_frontier():
             l = int(rng.integers(2, 6))
             m = int(rng.integers(2, 6))
             x = rng.normal(size=2 * l + 2 * l * m)
-            blocks = gamma_adv_gradient(_params_from_vector(x, l, m))
+            blocks = gamma_adv_gradient(params_from_vector(x, l, m))
             grad = np.concatenate([g.ravel() for g in blocks])
             h = 1e-6
             fd = np.empty_like(x)
@@ -219,8 +192,8 @@ def test_adversary_saturation_frontier():
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd[i] = (gamma_adv(_params_from_vector(xp, l, m))
-                         - gamma_adv(_params_from_vector(xm, l, m))) / (2 * h)
+                fd[i] = (gamma_adv(params_from_vector(xp, l, m))
+                         - gamma_adv(params_from_vector(xm, l, m))) / (2 * h)
             denom = max(1.0, float(np.abs(fd).max()))
             worst = max(worst, float(np.abs(grad - fd).max()) / denom)
         assert worst < 1e-5
@@ -229,11 +202,11 @@ def test_adversary_saturation_frontier():
             for m in range(2, 5):
                 for _ in range(2):
                     x = rng.normal(size=2 * l + 2 * l * m)
-                    params = _params_from_vector(x, l, m)
+                    params = params_from_vector(x, l, m)
                     kernels = eval_kernels(params)
                     f_ac, f_cb = module_fis(kernels)
                     fim = endpoint_fim(kernels).mat
-                    bf_ac, bf_cb, bf_fim = _joint_model_reference(params)
+                    bf_ac, bf_cb, bf_fim = joint_model_reference(params)
                     assert f_ac == pytest.approx(bf_ac, abs=1e-8)
                     assert f_cb == pytest.approx(bf_cb, abs=1e-8)
                     np.testing.assert_allclose(fim, bf_fim, atol=1e-8)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from adversary_reference import (endpoint_fim, eval_kernels,
+                                 joint_model_reference, module_fis,
+                                 params_from_vector)
 from cfii import adversary
 from cfii.adversary import (FI_FLOOR, AdversaryParams, _backward, _forward,
-                            endpoint_fim, eval_kernels, gamma_adv,
-                            gamma_adv_gradient, module_fis, optimize_restarts)
+                            gamma_adv, gamma_adv_gradient, optimize_restarts)
 from cfii.errors import DegenerateBenchmarkError
 from cfii.fim import PINV_RCOND, effective_fi
 from cfii.rng import derive_rng
@@ -20,15 +22,6 @@ def random_params(rng, l, m, scale=1.0):
         a_dot=scale * rng.normal(size=l),
         d=scale * rng.normal(size=(l, m)),
         d_dot=scale * rng.normal(size=(l, m)),
-    )
-
-
-def params_from_vector(x, l, m):
-    return AdversaryParams(
-        a=x[:l],
-        a_dot=x[l:2 * l],
-        d=x[2 * l:2 * l + l * m].reshape(l, m),
-        d_dot=x[2 * l + l * m:].reshape(l, m),
     )
 
 
@@ -46,11 +39,6 @@ def closed_form_gamma(params):
     w = w[w > PINV_RCOND * w[-1]]
     return (effective_fi(f_b, np.ones(2)) * (1.0 / f_ac + 1.0 / f_cb),
             f_min, w[-1] / w[0])
-
-
-def softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestKernels:
@@ -146,37 +134,6 @@ class TestEndpointFim:
             assert np.min(np.linalg.eigvalsh(fim.mat)) > -1e-10
 
 
-def brute_force_reference(params, h=1e-5):
-    """Joint-model oracle: materialize the full (c, b) distribution of the
-    two-dial family and differentiate numerically."""
-    l, m = params.l, params.m
-
-    def alpha_at(t1):
-        return softmax(params.a + t1 * params.a_dot)
-
-    def beta_at(t2):
-        return softmax(params.d + t2 * params.d_dot)
-
-    def p_b(t1, t2):
-        return beta_at(t2).T @ alpha_at(t1)
-
-    alpha = alpha_at(0.0)
-    beta = beta_at(0.0)
-    d_alpha = (alpha_at(h) - alpha_at(-h)) / (2 * h)
-    d_beta = (beta_at(h) - beta_at(-h)) / (2 * h)
-    f_ac = float(np.sum(d_alpha ** 2 / alpha))
-    f_cb = float(np.sum(alpha * np.sum(d_beta ** 2 / beta, axis=1)))
-
-    p = p_b(0.0, 0.0)
-    d1 = (p_b(h, 0.0) - p_b(-h, 0.0)) / (2 * h)
-    d2 = (p_b(0.0, h) - p_b(0.0, -h)) / (2 * h)
-    fim = np.array([
-        [np.sum(d1 * d1 / p), np.sum(d1 * d2 / p)],
-        [np.sum(d1 * d2 / p), np.sum(d2 * d2 / p)],
-    ])
-    return f_ac, f_cb, fim
-
-
 class TestBruteForceEquivalence:
     def test_closed_forms_match_joint_model(self):
         rng = np.random.default_rng(8)
@@ -187,7 +144,7 @@ class TestBruteForceEquivalence:
                     kernels = eval_kernels(params)
                     f_ac, f_cb = module_fis(kernels)
                     fim = endpoint_fim(kernels).mat
-                    bf_ac, bf_cb, bf_fim = brute_force_reference(params)
+                    bf_ac, bf_cb, bf_fim = joint_model_reference(params)
                     assert f_ac == pytest.approx(bf_ac, abs=1e-8)
                     assert f_cb == pytest.approx(bf_cb, abs=1e-8)
                     np.testing.assert_allclose(fim, bf_fim, atol=1e-8)
@@ -341,6 +298,21 @@ class TestBatchedCore:
             gamma_adv(floor)
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every Gamma batch that `optimize_restarts` evaluates, in order.  Entry
+    0 is the initialization check (one entry per draw; the seeds here draw
+    once), so entry t is the iterate after t - 1 Adam steps."""
+    batches = []
+
+    def recorded(theta, l, m):
+        out = _forward(theta, l, m)
+        batches.append(out[0])
+        return out
+    monkeypatch.setattr(adversary, "_forward", recorded)
+    return batches
+
+
 class TestOptimizeRestarts:
     def test_zero_steps_returns_initialization_value(self):
         l, m = 3, 3
@@ -355,18 +327,17 @@ class TestOptimizeRestarts:
         assert trained.best_gamma >= start.best_gamma
         assert trained.best_gamma > 0.9
 
-    def test_trajectories_and_running_max(self):
-        result = optimize_restarts(2, 3, n_restarts=3, steps=40, seed=5,
-                                   track_trajectories=True)
-        assert len(result.trajectories) == 3
-        for trajectory, best in zip(result.trajectories,
-                                    result.restart_gammas):
-            assert trajectory.size == 41
-            assert best == pytest.approx(float(trajectory.max()), rel=1e-14)
+    def test_trajectories_and_running_max(self, evaluated):
+        result = optimize_restarts(2, 3, n_restarts=3, steps=40, seed=5)
+        # the initialization check and the first iterate see the same theta
+        assert evaluated[0].tolist() == evaluated[1].tolist()
+        trajectories = np.stack(evaluated[1:], axis=1)
+        assert trajectories.shape == (3, 41)
+        for trajectory, best in zip(trajectories, result.restart_gammas):
+            assert best == float(trajectory.max())
             running = np.maximum.accumulate(trajectory)
             assert np.all(np.diff(running) >= 0.0)
-        assert result.best_gamma == max(
-            float(t.max()) for t in result.trajectories)
+        assert result.best_gamma == float(trajectories.max())
         assert result.best_gamma == max(result.restart_gammas)
 
     def test_deterministic_and_batch_width_invariant(self):
@@ -382,31 +353,24 @@ class TestOptimizeRestarts:
         assert result.best_gamma == 0.0
         assert result.restart_gammas == (0.0, 0.0)
 
-    def test_blind_batch_stops_at_its_fixed_point(self, monkeypatch):
+    def test_blind_batch_stops_at_its_fixed_point(self, evaluated):
         # an all-blind batch has zero gradients, so Adam never moves theta:
-        # its evaluations stop, and its trajectories keep steps + 1 entries
-        calls = []
-
-        def counted(theta, l, m):
-            calls.append(theta.shape[0])
-            return _forward(theta, l, m)
-        monkeypatch.setattr(adversary, "_forward", counted)
+        # its evaluations stop, and every one of them reads 0
         counts = []
         for steps in (20, 2000):
-            calls.clear()
+            evaluated.clear()
             result = optimize_restarts(3, 2, n_restarts=4, steps=steps,
-                                       seed=1, track_trajectories=True)
-            counts.append(len(calls))
+                                       seed=1)
+            counts.append(len(evaluated))
             assert result.restart_gammas == (0.0,) * 4
-            assert [t.tolist() for t in result.trajectories] == (
-                [[0.0] * (steps + 1)] * 4)
+            assert [g.tolist() for g in evaluated] == (
+                [[0.0] * 4] * len(evaluated))
         assert counts[0] == counts[1] <= 3
 
-    def test_live_restart_keeps_its_values(self):
-        result = optimize_restarts(3, 3, n_restarts=1, steps=300, seed=9,
-                                   track_trajectories=True)
+    def test_live_restart_keeps_its_values(self, evaluated):
+        result = optimize_restarts(3, 3, n_restarts=1, steps=300, seed=9)
         assert result.restart_gammas == (0.999999999070436,)
-        assert result.trajectories[0][150] == 0.9999413769676462
+        assert evaluated[151][0] == 0.9999413769676462
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -554,6 +554,22 @@ class TestRmseCommand:
         assert code == 2
         assert "FI is zero" in err
 
+    @pytest.mark.parametrize("theta", ["0", repr(math.pi), "4"])
+    def test_theta_outside_the_branch_refused(self, capsys, theta):
+        # at a branch end the estimate is pinned, past it mirrored: the
+        # table would read as a beat of the Cramer-Rao bound
+        code, out, err = run_cli(capsys, ["rmse", "--seed", "1",
+                                          "--theta", theta])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert "theta must lie inside the MLE branch" in err
+
+    def test_branch_follows_vartheta(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "rmse", "--seed", "1", "--vartheta", "0.5", "--theta", "0.6",
+            "--n-grid", "100:200:2", "--reps", "10"])
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 2
+
     def test_validation(self, capsys):
         assert run_cli(capsys, ["rmse", "--seed", "1",
                                 "--reps", "0"])[0] == 2
@@ -792,6 +808,17 @@ class TestOutputPlumbing:
         assert meta["command"] == "fi"
         assert meta["seed"] == "none"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fi", "--out", ""], "cannot write --out: "),
+        (["certify", "--seed", "1", "--config", ""],
+         "cannot read config file : "),
+    ])
+    def test_empty_path_is_a_config_error(self, capsys, argv, message):
+        # an empty path is the current directory, not an absent flag
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("cfii: config error: " + message)
 
     def test_config_echo_reproduces_run(self, capsys, tmp_path):
         # one run of each command, seeded (seed: n) and not (seed: null)

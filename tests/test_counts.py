@@ -31,7 +31,7 @@ from cfii.models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                          QubitPreparation)
 from cfii.rng import require_integral, require_real
 from cfii.witness import (MAX_CHAIN_K, gamma_crossing, improvement_factor,
-                          k_chain_gain, nsit_separation_demo)
+                          k_chain_gain)
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02)
 NOISY = NoisyFringeModel(GOLDEN)
@@ -78,8 +78,6 @@ SITES = {
         "k", 1, None, lambda v: equicorrelated_effective_fi(1.0, 0.1, v)),
     "equicorrelated_matrix.k": (
         "k", 1, None, lambda v: equicorrelated_matrix(1.0, 0.1, v)),
-    "nsit_separation_demo.grid_points": (
-        "grid_points", 2, None, lambda v: nsit_separation_demo(v)),
     "classifier_score.counts_plus": (
         "counts_plus", 0, None,
         lambda v: classifier_score((v, 10), (5, 5), 0.1)),
@@ -429,14 +427,13 @@ class TestOverflowAndWarnings:
     def test_rmse_far_from_the_branch_is_finite(self, capsys):
         # every estimate lies in [0, pi], so the error is -1e308 in each
         # replication; its square overflows, the scaled mean does not
+        assert [mc_rmse(IDEAL, 1e308, n, 50, 1, i)
+                for i, n in enumerate((100, 316, 1000))] == [1e308] * 3
+        # the CLI refuses a theta outside the MLE branch
         assert cli.main(["rmse", "--seed", "1", "--theta", "1e308", "--n-grid",
-                         "100:1000:3", "--reps", "50"]) == 0
+                         "100:1000:3", "--reps", "50"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ""
-        lines = [line for line in captured.out.splitlines()
-                 if not line.startswith("#")]
-        assert lines[0].split(",")[1] == "rmse"
-        assert [line.split(",")[1] for line in lines[1:]] == ["1e+308"] * 3
+        assert captured.out == "" and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("theta_true", [1.0, 4.0, 40.0])
     def test_rmse_scaling_is_exact(self, theta_true):

@@ -403,11 +403,6 @@ class TestNsitSeparationDemo:
         assert nsit_holds is True
         assert v == pytest.approx(-1.0, abs=1e-12)
 
-    def test_smaller_grid(self):
-        nsit_holds, v = nsit_separation_demo(grid_points=100)
-        assert nsit_holds is True
-        assert v == pytest.approx(-1.0, abs=1e-12)
-
     def test_invasive_measurement_breaks_nsit(self):
         # a projective sigma_z readout at theta/2 collapses the state, so
         # the final p0 becomes cos^4(theta/4) + sin^4(theta/4) (Kofler and
