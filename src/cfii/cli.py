@@ -214,10 +214,22 @@ _STOCHASTIC = {"adversary", "rmse"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ConfigError where argparse would print usage and exit."""
+    """Raises ConfigError where argparse would print usage and exit, and
+    binds the token after each of its value flags to that flag."""
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that starts with "-" (-1e-3, -inf, -3:3:3)
+        # as a flag; --flag=value hands any value to _coerce
+        bound, tokens = [], iter(sys.argv[1:] if args is None else args)
+        for token in tokens:
+            action = self._option_string_actions.get(token)
+            value = (next(tokens, None)
+                     if action is not None and action.nargs is None else None)
+            bound.append(token if value is None else f"{token}={value}")
+        return super().parse_known_args(bound, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,14 +441,15 @@ def _certify_sweep(params: dict) -> ResultTable:
     shots = (_parse_int_grid(params["shots_grid"], "--shots-grid", np.geomspace)
              if params["shots_grid"] else np.array([params["shots"]]))
     gamma_col, shots_col = _product_columns(gammas, shots)
-    reports = [analytic_certification(_noisy(params, gamma),
-                                      params["t_total"], params["k"], n)
-               for gamma, n in zip(gamma_col.tolist(), shots_col.tolist())]
-    z = np.array([rep.z for rep in reports])
+    with np.errstate(over="ignore"):  # as in cmd_fi
+        report = analytic_certification(_noisy(params, gamma_col),
+                                        params["t_total"], params["k"],
+                                        shots_col)
+    z = report.z
     return ResultTable({
         "gamma": gamma_col, "shots": shots_col,
-        "v_k": [rep.v_hat for rep in reports],
-        "se": [rep.se for rep in reports],
+        "v_k": report.v_hat,
+        "se": report.se,
         "z": z,
         "z_ge_3": (z >= 3.0).astype(np.int64),
         "z_ge_5": (z >= 5.0).astype(np.int64),
@@ -494,20 +507,23 @@ def cmd_chain(config: ExperimentConfig) -> ResultTable:
           if params["k_grid"] else np.array([params["k"]]))
     t_total = params["t_total"]
     k_col, gamma_col = _product_columns(ks, gammas)
-    pairs = list(zip(k_col.tolist(), gamma_col.tolist()))
-    reports = [k_chain_gain(_noisy(params, gamma), t_total, k)
-               for k, gamma in pairs]
+    model = _noisy(params, gammas)
+    # one library call per distinct k, over every rate
+    with np.errstate(over="ignore"):  # as in cmd_fi
+        f_end, f_segment, f_benchmark, v_k, gamma_k = np.hstack([
+            (r.f_end, r.f_segments[0], r.f_benchmark, r.v, r.gamma_ratio)
+            for r in (k_chain_gain(model, t_total, k) for k in ks.tolist())])
     return ResultTable({
         "k": k_col, "gamma": gamma_col,
-        "f_end": [rep.f_end for rep in reports],
-        "f_segment": [rep.f_segments[0] for rep in reports],
-        "f_benchmark": [rep.f_benchmark for rep in reports],
-        "v_k": [rep.v for rep in reports],
-        "gamma_k": [rep.gamma_ratio for rep in reports],
+        "f_end": f_end,
+        "f_segment": f_segment,
+        "f_benchmark": f_benchmark,
+        "v_k": v_k,
+        "gamma_k": gamma_k,
         # math.exp per row: np.exp on the column differs in the last ulp
         "gamma_k_midfringe": [
             k * math.exp(-2.0 * gamma * t_total * (1.0 - 1.0 / k))
-            for k, gamma in pairs],
+            for k, gamma in zip(k_col.tolist(), gamma_col.tolist())],
     })
 
 

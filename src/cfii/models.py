@@ -102,7 +102,12 @@ class BinaryModel(ABC):
         """Per-outcome score d ln p_x / d theta."""
         if x not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {x}")
-        return _score(x, self.z(theta), self.zdot(theta))
+        sign = 1.0 if x == 0 else -1.0
+        denom = 1.0 + sign * self.z(theta)
+        if np.any(denom <= 0.0):
+            raise DegenerateModelError(
+                f"outcome {x} has zero probability; score undefined")
+        return sign * self.zdot(theta) / denom
 
     def fi(self, theta):
         """Fisher information zdot^2 / (1 - z^2), with the continuous
@@ -132,17 +137,6 @@ class BinaryModel(ABC):
         dp0 = 0.5 * float(self.zdot(theta))
         return CategoricalModel(np.array([p0, 1.0 - p0]),
                                 np.array([dp0, -dp0]))
-
-
-def _score(x: int, z, zd):
-    """Score d ln p_x / d theta of outcome x at a fringe point with mean z
-    and slope zd."""
-    sign = 1.0 if x == 0 else -1.0
-    denom = 1.0 + sign * z
-    if np.any(denom <= 0.0):
-        raise DegenerateModelError(
-            f"outcome {x} has zero probability; score undefined")
-    return sign * zd / denom
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,8 @@ class NoisyFringeModel(BinaryModel):
     params: NoisyFringeParams
 
     def _check(self, theta) -> None:
-        if (np.asarray(theta) < 0.0).any():
+        if (theta < 0.0 if type(theta) is float  # the scalar fast path
+                else (np.asarray(theta) < 0.0).any()):
             raise ValueError("noisy fringe is defined for theta >= 0")
 
     def z(self, theta):

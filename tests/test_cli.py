@@ -46,6 +46,16 @@ def parse_csv(text):
     return meta, columns, rows
 
 
+def drop_wallclock(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# wallclock"))
+
+
+def drop_meta(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# "))
+
+
 def column(columns, rows, name, cast=float):
     i = columns.index(name)
     return [cast(row[i]) for row in rows]
@@ -429,6 +439,36 @@ class TestCertifyCommand:
             assert record["z_ge_3"] == float(record["z"] >= 3.0)
             assert record["z_ge_5"] == float(record["z"] >= 5.0)
 
+    def test_sweep_row_blocks_print_the_per_row_bytes(self, capsys):
+        # 600 rows x (K + 1) = 3e6 entries: three row blocks of the
+        # library's column path, against one library call per row
+        code, out, _ = run_cli(capsys, [
+            "certify", "--gamma-grid", "0:0.6:300", "--shots-grid",
+            "100:1000:2", "--k", "5000"])
+        assert code == 0
+        gammas = np.repeat(np.linspace(0.0, 0.6, 300), 2)
+        shots = np.tile([100, 1000], 300)
+        rows = [analytic_certification(NoisyFringeModel(NoisyFringeParams(
+            gamma=g, epsilon_r=0.02)), math.pi / 2, 5000, n)
+            for g, n in zip(gammas.tolist(), shots.tolist())]
+        z = np.array([r.z for r in rows])
+        expected = ResultTable({
+            "gamma": gammas, "shots": shots,
+            "v_k": [r.v_hat for r in rows], "se": [r.se for r in rows],
+            "z": z, "z_ge_3": (z >= 3.0).astype(np.int64),
+            "z_ge_5": (z >= 5.0).astype(np.int64)})
+        assert drop_meta(out) == expected.render_csv()
+
+    def test_sweep_undefined_mu4_is_a_degeneracy(self, capsys):
+        # lossless, undamped at gamma = 0: z = 1 at t_total = 2 pi, where
+        # zdot = -sin(2 pi) is a rounding residue, not 0
+        code, out, err = run_cli(capsys, [
+            "certify", "--gamma-grid", "0:0.6:3", "--eps-r", "0",
+            "--t-total", repr(2 * math.pi), "--k", "2"])
+        assert (code, out) == (3, "")
+        assert err == ("cfii: numerical degeneracy: mu4 undefined at a "
+                       "degenerate point\n")
+
     def test_validation(self, capsys):
         assert run_cli(capsys, ["certify", "--seed", "1",
                                 "--shots", "0"])[0] == 2
@@ -441,6 +481,7 @@ class TestCertifyCommand:
         for argv in (["--seed", "1", "--t-total", "0"],
                      ["--seed", "1", "--shots", "1"],
                      ["--gamma-grid", "0:0.6:3", "--t-total", "0"],
+                     ["--gamma-grid", "0:0.6:3", "--shots-grid", "1:10:3"],
                      ["--gamma-grid", "0:0.5:2", "--k", "1000001"]):
             code, out, err = run_cli(capsys, ["certify", *argv])
             assert code == 2 and out == ""
@@ -613,6 +654,39 @@ class TestChainCommand:
                 assert record["v_k"] == pytest.approx(-(record["k"] - 1.0),
                                                       abs=1e-12)
 
+    @pytest.mark.parametrize("grid", ["0:0.6:3", "0.6:0:3"])
+    def test_zero_segment_fi_is_a_degeneracy(self, capsys, grid):
+        # at gamma = 0 the segment angle pi/2 sits on the fringe extreme
+        # vartheta0, first or last among the rates of the one library call
+        code, out, err = run_cli(capsys, [
+            "chain", "--gamma-grid", grid, "--vartheta0", PI_2,
+            "--t-total", repr(math.pi), "--k", "2"])
+        assert (code, out) == (3, "")
+        assert err == ("cfii: numerical degeneracy: f_segment_0 must be > 0, "
+                       "got 0.0\n")
+
+    def test_row_blocks_print_the_per_row_bytes(self, capsys):
+        # 300 rates x (K + 1) = 1.5e6 entries: two row blocks of the
+        # library's column path, against one library call per row
+        code, out, _ = run_cli(capsys, [
+            "chain", "--gamma-grid", "0:0.6:300", "--k", "5000"])
+        assert code == 0
+        gammas = np.linspace(0.0, 0.6, 300)
+        rows = [witness.k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+            gamma=g, epsilon_r=0.02)), math.pi / 2, 5000)
+            for g in gammas.tolist()]
+        expected = ResultTable({
+            "k": np.full(300, 5000), "gamma": gammas,
+            "f_end": [r.f_end for r in rows],
+            "f_segment": [r.f_segments[0] for r in rows],
+            "f_benchmark": [r.f_benchmark for r in rows],
+            "v_k": [r.v for r in rows],
+            "gamma_k": [r.gamma_ratio for r in rows],
+            "gamma_k_midfringe": [
+                5000 * math.exp(-2.0 * g * (math.pi / 2) * (1.0 - 1 / 5000))
+                for g in gammas.tolist()]})
+        assert drop_meta(out) == expected.render_csv()
+
     def test_validation(self, capsys):
         assert run_cli(capsys, ["chain", "--k", "1"])[0] == 2
         assert run_cli(capsys, ["chain", "--gamma-grid=-0.1:0.5:3"])[0] == 2
@@ -768,8 +842,28 @@ class TestFlagRule:
                             f"(-inf, inf), got {value}\n")
                 assert self.refusal(capsys, [
                     command, "--seed", "1", f"{_flag(key)}={value}"]) == expected
+                assert self.refusal(capsys, [
+                    command, "--seed", "1", _flag(key), str(value)]) == expected
                 assert self.refusal(capsys, self.config_argv(
                     tmp_path, command, key, value)) == expected
+
+    @pytest.mark.parametrize("flags, code, err", [
+        (["--model", "ideal", "--grid", "-3:3:3"], 0, ""),
+        (["--model", "noisy", "--vartheta0", "-1e-3", "--grid", "0.1:1:2"],
+         0, ""),
+        (["--vartheta0", "-inf"], 2,
+         "cfii: config error: vartheta0 must lie in (-inf, inf), got -inf\n"),
+    ])
+    def test_value_may_start_with_a_dash(self, capsys, flags, code, err):
+        # argparse reads -3:3:3, -1e-3 and -inf as flags; the token after a
+        # value flag is its value all the same, as in --flag=value
+        joined = [f"{flag}={value}"
+                  for flag, value in zip(flags[::2], flags[1::2])]
+        spaced = run_cli(capsys, ["fi", *flags])
+        equals = run_cli(capsys, ["fi", *joined])
+        assert (spaced[0], spaced[2]) == (equals[0], equals[2]) == (code, err)
+        assert drop_wallclock(spaced[1]) == drop_wallclock(equals[1])
+        assert (spaced[1] == "") == (code != 0)
 
     @pytest.mark.parametrize("command", sorted(_SPECS))
     def test_unknown_choice_refused(self, capsys, tmp_path, command):

@@ -367,7 +367,7 @@ def test_kept_domain_check_refuses_nan(site, value):
         call(value)
 
 
-@pytest.mark.parametrize("delta", [math.nan, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("delta", [math.nan, -math.inf, 0.0, -1.0, math.inf])
 def test_classifier_score_delta_keeps_its_class(delta):
     with pytest.raises(EstimationError, match="^delta must be > 0"):
         classifier_score((5, 5), (5, 5), delta)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cfii import witness
 from cfii.errors import (BranchWarning, DegenerateModelError, EstimationError)
 from cfii.estimate import (ContextSample, _certify, analytic_certification,
                            analytic_mu4, certify_vk, classifier_fi,
@@ -23,8 +24,9 @@ IDEAL = QubitFringeModel(QubitPreparation(vartheta=0.0, varphi=math.pi / 2))
 T = math.pi / 2
 
 
-def counting_fringe(calls):
-    """The GOLDEN fringe, appending each evaluation of z and zdot to calls."""
+def counting_fringe(calls, params=GOLDEN):
+    """The fringe of params, appending each evaluation of z and zdot to
+    calls."""
     class CountingFringe(NoisyFringeModel):
         def z(self, theta):
             calls.append(("z", theta))
@@ -33,7 +35,7 @@ def counting_fringe(calls):
         def zdot(self, theta):
             calls.append(("zdot", theta))
             return super().zdot(theta)
-    return CountingFringe(GOLDEN)
+    return CountingFringe(params)
 
 
 class TestSampling:
@@ -188,7 +190,7 @@ class TestCertifyVk:
 
     @pytest.mark.parametrize("se_mode", ["empirical", "analytic-moment"])
     def test_model_evaluations_do_not_grow_with_k(self, se_mode):
-        # K segments at one angle are one distinct context, whatever K is
+        # the model is evaluated once on all K + 1 angles, whatever K is
         calls = []
         model, counts = counting_fringe(calls), []
         for k in (4, 10 ** 4):
@@ -201,8 +203,8 @@ class TestCertifyVk:
             assert len(report.estimates) == k + 1
             assert report == certify_vk(endpoint, segments, NOISY,
                                         se_mode=se_mode)
-        # one z and one zdot per distinct angle, in either mode
-        assert counts[0] == counts[1] == 4
+        # one z and one zdot call on the array of angles, in either mode
+        assert counts[0] == counts[1] == 2
 
     def test_validation(self):
         endpoint, segments = self._golden_contexts()
@@ -258,11 +260,90 @@ class TestAnalyticCertification:
         assert [e.value for e in cert.estimates] == (
             [float(NOISY.fi(T))] + [f_segment] * k)
 
+    @pytest.mark.parametrize("rates", [3, 50])
+    def test_fi_evaluations_do_not_grow_with_the_rates(self, rates):
+        # a model over many rates is evaluated as often as a one-rate one:
+        # one z and one zdot call per angle, on the array of rates
+        calls = []
+        model = counting_fringe(calls, NoisyFringeParams(
+            gamma=np.linspace(0.0, 0.6, rates), epsilon_r=0.02))
+        for k in (4, 10 ** 5):
+            calls.clear()
+            k_chain_gain(model, T, k)
+            assert len(calls) == 4
+            calls.clear()
+            analytic_certification(model, T, k, np.arange(rates) + 2)
+            assert len(calls) == 4
+
+    def test_scalar_rate_report_types(self):
+        report = analytic_certification(NOISY, T, 4, 1000)
+        assert all(type(x) is float for x in (
+            report.v_hat, report.se, report.z, *report.ci95))
+        for estimate in report.estimates:
+            assert (type(estimate.value), type(estimate.variance),
+                    type(estimate.n), estimate.degenerate) == (
+                float, float, int, False)
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 1000, 3313])
+    def test_rate_columns_equal_one_rate_reports(self, k):
+        rng = np.random.default_rng(k)
+        gammas = np.append(rng.uniform(0.0, 1.5, size=12), 0.0)
+        shots = rng.integers(2, 10 ** 7, size=gammas.size)
+        eps_r, t_total = rng.uniform(0.0, 0.3), rng.uniform(0.2, 1.5)
+        report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=eps_r)), t_total, k, shots)
+        assert report.mode == "analytic-moment"
+        assert len(report.estimates) == k + 1
+        for i, (gamma, n) in enumerate(zip(gammas.tolist(), shots.tolist())):
+            one = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+                gamma=gamma, epsilon_r=eps_r)), t_total, k, n)
+            assert (report.v_hat[i], report.se[i], report.z[i],
+                    report.ci95[0][i], report.ci95[1][i]) == (
+                one.v_hat, one.se, one.z, *one.ci95)
+            for column, estimate in zip(report.estimates, one.estimates):
+                assert (column.value[i], column.variance[i], column.n[i],
+                        column.degenerate) == (
+                    estimate.value, estimate.variance, estimate.n,
+                    estimate.degenerate)
+
+    def test_shot_columns_of_one_rate(self):
+        # a scalar-rate model with a shot count per row broadcasts
+        shots = np.array([2, 30, 1000, 10 ** 6])
+        report = analytic_certification(NOISY, T, 5, shots)
+        for i, n in enumerate(shots.tolist()):
+            one = analytic_certification(NOISY, T, 5, n)
+            assert (report.v_hat[i], report.se[i], report.z[i]) == (
+                one.v_hat, one.se, one.z)
+
+    def test_rate_blocks_have_no_seam(self, monkeypatch):
+        # blocks of a few rows each, some splitting a K = 7 table unevenly
+        gammas = np.linspace(0.0, 0.6, 29)
+        monkeypatch.setattr(witness, "_CHAIN_BLOCK", 20)
+        report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=0.02)), T, 7, 1000)
+        for i, gamma in enumerate(gammas.tolist()):
+            one = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+                gamma=gamma, epsilon_r=0.02)), T, 7, 1000)
+            assert (report.v_hat[i], report.se[i], report.z[i]) == (
+                one.v_hat, one.se, one.z)
+
+    def test_shot_column_validation(self):
+        rates = NoisyFringeModel(NoisyFringeParams(
+            gamma=np.array([0.1, 0.2, 0.3]), epsilon_r=0.02))
+        for shots, message in (([5, 1, 7], "must be >= 2, got 1"),
+                               ([5, 2.5, 7], "integral value, got 2.5"),
+                               ([5, math.nan, 7], "integral value, got nan")):
+            with pytest.raises(ValueError, match=message):
+                analytic_certification(rates, T, 4, np.array(shots))
+        with pytest.raises(ValueError):  # 2 shot counts for 3 rates
+            analytic_certification(rates, T, 4, np.array([5, 6]))
+
 
 def reference_row(n0, n, s0, s1, moments=None):
     """One experiment of the certification core in plain floats, context by
     context: the plug-in moments, the witness, the delta-method SE summed
-    left to right, and Z."""
+    left to right, and Z.  Analytic moments are (F, mu4) per context, whose
+    variance is max(0, (mu4 - F^2)/n)."""
     f_hat, var_hat = [], []
     for c in range(len(n)):
         sq0, sq1 = s0[c] * s0[c], s1[c] * s1[c]
@@ -272,8 +353,9 @@ def reference_row(n0, n, s0, s1, moments=None):
                        * gap / (n[c] * n[c] * (n[c] - 1)))
     v = float(v_chain(f_hat[0], f_hat[1:]))
     total = 0.0
-    for f, var in (zip(f_hat, var_hat) if moments is None
-                   else zip(*moments)):
+    for f, var in (zip(f_hat, var_hat) if moments is None else
+                   ((f, max(0.0, (mu4 - f * f) / m))
+                    for f, mu4, m in zip(*moments, n))):
         total += var / f ** 4
     se = math.sqrt(total)
     if se > 0.0:
@@ -294,8 +376,10 @@ class TestCertifyCore:
         n[:2] = (1, 2)
         n0 = rng.integers(0, n + 1, size=(20, 2, c))
         s0, s1 = rng.normal(size=(2, c))
-        moments = ((rng.uniform(0.1, 2.0, size=c),
-                    rng.uniform(0.0, 1e-2, size=c)) if analytic else None)
+        f = rng.uniform(0.1, 2.0, size=c)
+        # mu4 = F^2 + n Var, with a context at mu4 = F^2 (Var clamped at 0)
+        mu4 = f * f + n * np.append(0.0, rng.uniform(0.0, 1e-2, size=k))
+        moments = (f, mu4) if analytic else None
         f_hat, var_hat, (v, se, z) = _certify(n, n0, (s0, s1), moments)
         assert f_hat.shape == var_hat.shape == (20, 2, c)
         assert v.shape == z.shape == (20, 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from cfii import witness
 from cfii.errors import (DegenerateBenchmarkError, NoCrossingError,
                          NonPositiveFiError, ResistanceOverflowError)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
@@ -265,6 +266,56 @@ class TestKChainGain:
             k_chain_gain(model, T, 4, partition="optimized")
         with pytest.raises(ValueError):
             k_chain_gain(model, T, 2, partition="bogus")
+        rates = NoisyFringeModel(NoisyFringeParams(gamma=np.array([0.1, 0.2])))
+        with pytest.raises(ValueError, match="k=2 and one rate"):
+            k_chain_gain(rates, T, 2, partition="optimized")
+
+    def test_scalar_rate_report_types(self):
+        report = k_chain_gain(NoisyFringeModel(GOLDEN), T, 4)
+        assert type(report.v) is type(report.g_indicator) is np.float64
+        assert all(type(x) is float for x in (
+            report.f_end, report.f_benchmark, report.gamma_ratio,
+            *report.f_segments, *report.segments))
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 1000, 4099])
+    def test_rate_columns_equal_one_rate_reports(self, k):
+        rng = np.random.default_rng(k)
+        gammas = np.append(rng.uniform(0.0, 1.5, size=12), 0.0)
+        eps_r, t_total = rng.uniform(0.0, 0.3), rng.uniform(0.2, 1.5)
+        report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=eps_r)), t_total, k)
+        assert report.k == k and len(report.segments) == k
+        for i, gamma in enumerate(gammas.tolist()):
+            one = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+                gamma=gamma, epsilon_r=eps_r)), t_total, k)
+            assert (report.v[i], report.f_end[i], report.f_benchmark[i],
+                    report.gamma_ratio[i], report.g_indicator[i]) == (
+                one.v, one.f_end, one.f_benchmark, one.gamma_ratio,
+                one.g_indicator)
+            assert [f[i] for f in report.f_segments] == list(one.f_segments)
+            assert report.segments == one.segments
+
+    def test_rate_blocks_have_no_seam(self, monkeypatch):
+        # blocks of a few rates each, some splitting a K = 7 chain table
+        # unevenly: every column still equals its one-rate report
+        gammas = np.linspace(0.0, 0.6, 29)
+        monkeypatch.setattr(witness, "_CHAIN_BLOCK", 20)
+        report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=0.02)), T, 7)
+        for i, gamma in enumerate(gammas.tolist()):
+            one = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+                gamma=gamma, epsilon_r=0.02)), T, 7)
+            assert (report.v[i], report.f_benchmark[i]) == (
+                one.v, one.f_benchmark)
+
+    def test_zero_segment_fi_of_one_rate_raises(self):
+        # at gamma = 0 the segment angle pi/2 sits at a fringe extreme
+        model = NoisyFringeModel(NoisyFringeParams(
+            gamma=np.array([0.6, 0.3, 0.0]), epsilon_r=0.02,
+            vartheta0=math.pi / 2))
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_segment_0 must be > 0, got 0\.0$"):
+            k_chain_gain(model, math.pi, 2)
 
 
 def reference_crossing(base, t_total, k, gamma_range=(0.0, 2.0),
