@@ -47,8 +47,8 @@ class DegenerateBenchmarkError(CfiiError, ValueError):
 
 
 class EstimationError(CfiiError, ValueError):
-    """A finite-sample estimate is unusable (e.g. a zero plug-in Fisher
-    information that would be inverted)."""
+    """A finite-sample estimate is unusable (e.g. an empirical standard
+    error of 0, or a classifier score that overflows)."""
 
 
 class BranchWarning(UserWarning):

@@ -1,18 +1,16 @@
 """Finite-shot estimation and certification of the chain witness.
 
-The plug-in Fisher information estimator averages squared model scores over a
-sample, F_hat = (1/n) sum_i s(x_i)^2, and its variance comes from the sample
-variance of the squared scores.  The chain witness estimate
-
-    V_hat = 1/F_hat(end) - sum_j 1/F_hat(segment j)
-
-gets a delta-method standard error SE^2 = sum_s Var(F_hat_s)/F_s^4, either
-with empirical moments ("empirical" mode) or with the analytic fourth moment
-mu4 = sum_x p_x s_x^4 ("analytic-moment" mode).  Z = -V_hat/SE measures how
-many standard errors the witness sits below the classical boundary.  The
-analytic certification of an equal-partition chain also takes a model over
-an array of rates: one K = 10**6 chain takes about 0.06 s and 40 MB, and
-10**5 rates at K = 4 about 0.08 s and 30 MB (2-vCPU box, above the import).
+A certificate takes two stages.  `_plugin` turns outcome counts into each
+context's plug-in FI, F_hat = (1/n) sum_i s(x_i)^2, and its variance, the
+sample variance of the squared scores over n.  `_witness` turns FIs into the
+witness estimate V_hat = 1/F_hat(end) - sum_j 1/F_hat(segment j), its
+delta-method SE^2 = sum_s Var_s/F_s^4 and Z = -V_hat/SE, the number of SEs
+the witness sits below the classical boundary.  The variances are the
+plug-in ones ("empirical" mode) or the analytic (mu4 - F^2)/n, with
+mu4 = sum_x p_x s_x^4 ("analytic-moment" mode).  The analytic certification
+of an equal-partition chain also takes a model over an array of rates: one
+K = 10**6 chain takes about 0.06 s and 40 MB, and 10**5 rates at K = 4 about
+0.08 s and 30 MB (2-vCPU box, above the import).
 
 Also here: the smoothed two-class classifier score (a finite-difference
 log-likelihood-ratio estimate), a closed-form MLE for the binary fringe, and
@@ -29,10 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BranchWarning, DegenerateModelError, EstimationError
+from .errors import (BranchWarning, DegenerateModelError, EstimationError,
+                     ResistanceOverflowError)
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
 from .rng import derive_rng, require_integral, require_real
-from .witness import _chain_blocks, _require_chain, v_chain
+from .witness import _require_chain, v_chain
 
 Z95 = 1.959964
 
@@ -40,6 +39,8 @@ Z95 = 1.959964
 # count table), and most replications of a Monte Carlo run.
 MAX_SHOTS = 10 ** 7
 MAX_REPS = 10 ** 6
+# Most entries of a block of chains in analytic_certification.
+_CHAIN_BLOCK = 2 ** 20
 
 # RNG path tags (see rng.py).
 _TAG_SAMPLE = 1
@@ -83,9 +84,12 @@ class CertificationReport:
     v_hat: float
     se: float
     z: float
-    ci95: tuple[float, float]
     estimates: tuple[FiEstimate, ...]
     mode: str
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return self.v_hat - Z95 * self.se, self.v_hat + Z95 * self.se
 
 
 def sample_binary(model: BinaryModel, theta: float, n: int, seed: int,
@@ -107,56 +111,56 @@ def _sample_contexts(model: BinaryModel, thetas: Sequence[float], n: int,
             for theta, p, path in zip(thetas, p0.tolist(), paths)]
 
 
-def _certify(n, n0=None, scores=None, moments=None):
-    """The certification core over leading axes of replicated experiments.
+def _plugin(n, n0, scores):
+    """Plug-in FI F_hat of each context and its variance estimate Var_hat,
+    from the outcome-0 counts n0 (..., C) of n (C,) shots whose outcomes
+    score scores = (s0, s1), each (C,)."""
+    _require_scores(scores)
+    n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
+    n1 = n - n0
+    sq0, sq1 = (s * s for s in scores)
+    # two-valued data: the sum of squared deviations is n0 n1 (sq0 - sq1)^2
+    # / n, exactly 0 when both outcomes carry the same squared score.
+    # n^2 (n - 1) rounds in float64 like the exact integer while n < 9e7
+    # (and overflows int64); one shot gives 0
+    gap = sq0 - sq1
+    return ((n0 * sq0 + n1 * sq1) / n,
+            n0 * n1 * gap * gap / np.where(n > 1.0, n * n * (n - 1.0), 1.0))
 
-    Each row of the outcome-0 counts n0 (..., C) is one experiment on C
-    contexts with n (C,) shots, whose outcomes score scores = (s0, s1), each
-    (C,) and finite (DegenerateModelError names an outcome of probability 0
-    whose score is not).  Returns the plug-in FI F_hat of each context with
-    its variance Var_hat, and, for C >= 2, the (V_hat, SE, Z) of each row,
-    context 0 being the endpoint; SE^2 = sum Var / F^4 takes the analytic
-    moments (F, mu4), each (..., C), with Var = (mu4 - F^2)/n, when given,
-    and a zero F_hat raises EstimationError.  Without counts the moments
-    are F_hat and Var_hat: the report the analytic certification expects.
-    """
-    if moments is not None:
-        f, mu4 = moments
-        # mu4 >= F^2 (Jensen), with equality where the squared score is
-        # outcome-independent; the subtraction can round below 0 there
-        var = np.maximum(0.0, (mu4 - f * f) / n)
-    if n0 is None:
-        f_hat, var_hat = f, var
-    else:
-        if not np.isfinite(scores).all():
-            x = int(np.isfinite(scores[0]).all())  # the first bad outcome
-            raise DegenerateModelError(
-                f"outcome {x} has zero probability; score undefined")
-        n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
-        n1 = n - n0
-        sq0, sq1 = (s * s for s in scores)
-        f_hat = (n0 * sq0 + n1 * sq1) / n
-        # two-valued data: the sum of squared deviations is
-        # n0 n1 (sq0 - sq1)^2 / n, exactly 0 when both outcomes carry the
-        # same squared score.  n^2 (n - 1) rounds in float64 like the exact
-        # integer while n < 9e7 (and overflows int64); one shot gives 0
-        gap = sq0 - sq1
-        var_hat = n0 * n1 * gap * gap / np.where(
-            n > 1.0, n * n * (n - 1.0), 1.0)
-    if f_hat.shape[-1:] < (2,):  # a single context, or a 0-d one
-        return f_hat, var_hat, None
-    if n0 is not None and not (f_hat > 0.0).all():
-        raise EstimationError("zero plug-in FI estimate; witness undefined")
-    if moments is None:
-        f, var = f_hat, var_hat
+
+def _require_scores(scores) -> None:
+    """Refuse a score (s0, s1) that is not finite: its outcome has p = 0."""
+    if not np.isfinite(scores).all():
+        x = int(np.isfinite(scores[0]).all())  # the first bad outcome
+        raise DegenerateModelError(
+            f"outcome {x} has zero probability; score undefined")
+
+
+def _variance(f, mu4, n):
+    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI, at least 0:
+    mu4 = F^2 where s^2 is outcome-independent, and may round below it."""
+    return np.maximum(0.0, (mu4 - f * f) / n)
+
+
+def _witness(f_hat, f, var):
+    """(V_hat, SE, Z) of each row of plug-in FIs f_hat (..., C), context 0
+    the endpoint, with SE^2 = sum Var/F^4 over the FIs f and variances var.
+    v_chain refuses an f_hat not > 0, and an F whose 1/F^4 overflows raises
+    ResistanceOverflowError naming its context."""
     v = v_chain(f_hat[..., 0], f_hat[..., 1:])
-    # left to right and with libm's pow: numpy's pairwise sum and its SIMD
-    # power differ in the last bit, and seeded reports are pinned to these
-    se = np.sqrt(np.cumsum(var / np.float_power(f, 4), axis=-1)[..., -1])
+    # libm's pow, and below a left-to-right cumsum: numpy's SIMD power and
+    # pairwise sum differ in the last bit, and seeded reports are pinned
+    f4 = np.float_power(f, 4)
+    with np.errstate(divide="ignore", over="ignore"):
+        small = np.flatnonzero(np.isinf(1.0 / f4)) % f4.shape[-1]
+    if small.size:
+        raise ResistanceOverflowError("1/F^4 overflows for " + (
+            f"f_segment_{small[0] - 1}" if small[0] else "f_end"))
+    se = np.sqrt(np.cumsum(var / f4, axis=-1)[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, -v / se,
                      np.where(v == 0.0, 0.0, np.copysign(np.inf, -v)))
-    return f_hat, var_hat, (v, se, z)
+    return v, se, z
 
 
 def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
@@ -168,13 +172,6 @@ def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
     return tuple(made[key] for key in keys)
 
 
-def _report(v, se, z, estimates, mode: str) -> CertificationReport:
-    """The report of the witness V_hat, its SE and Z, and the estimates."""
-    return CertificationReport(v_hat=v, se=se, z=z,
-                               ci95=(v - Z95 * se, v + Z95 * se),
-                               estimates=estimates, mode=mode)
-
-
 def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     """Average squared score over the sample, with the sample variance of
     the squared scores divided by n as the variance estimate.
@@ -183,7 +180,7 @@ def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     degenerate flag set.
     """
     n, scores = [sample.n], _fringe_moments(model, sample.theta)[:2]
-    return _estimates(n, *_certify(n, [sample.n0], scores)[:2])[0]
+    return _estimates(n, *_plugin(n, [sample.n0], scores))[0]
 
 
 def _fringe_moments(model: BinaryModel, theta):
@@ -211,8 +208,8 @@ def analytic_mu4(model: BinaryModel, theta: float) -> float:
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
-    moments = _fringe_moments(model, require_real(theta, "theta"))[2:]
-    return float(_certify(require_integral(n, "n", 1), moments=moments)[1])
+    f, mu4 = _fringe_moments(model, require_real(theta, "theta"))[2:]
+    return float(_variance(f, mu4, require_integral(n, "n", 1)))
 
 
 def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
@@ -231,16 +228,18 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
     contexts = [endpoint, *segments]
-    s0, s1, *moments = _fringe_moments(
+    s0, s1, f, mu4 = _fringe_moments(
         model, np.array([s.theta for s in contexts]))
     n = [s.n for s in contexts]
-    f_hat, var_hat, witness = _certify(
-        n, [s.n0 for s in contexts], (s0, s1),
-        moments if se_mode == "analytic-moment" else None)
-    if se_mode == "empirical" and witness[1] == 0.0:
-        raise EstimationError("empirical SE is 0: significance undefined")
-    return _report(*map(float, witness), _estimates(n, f_hat, var_hat),
-                   se_mode)
+    f_hat, var_hat = _plugin(n, [s.n0 for s in contexts], (s0, s1))
+    if se_mode == "analytic-moment":
+        v, se, z = map(float, _witness(f_hat, f, _variance(f, mu4, n)))
+    else:
+        v, se, z = map(float, _witness(f_hat, f_hat, var_hat))
+        if se == 0.0:
+            raise EstimationError("empirical SE is 0: significance undefined")
+    return CertificationReport(v, se, z, _estimates(n, f_hat, var_hat),
+                               se_mode)
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -254,24 +253,34 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     shots = np.asarray(n_per_context)
     for count in dict.fromkeys(shots.ravel().tolist()):
         require_integral(count, "n_per_context", 2)
-    # (F, mu4) at both angles, times ones (x * 1 is x) to broadcast with
-    # the shots: (moments, rows, angles)
-    moments = np.array([_fringe_moments(model, theta)[2:]
+    # (s0, s1, F, mu4) at both angles; a degenerate protocol, with an
+    # outcome of probability 0, would predict a claim that its data refuse
+    moments = np.array([_fringe_moments(model, theta)
                         for theta in (t_total, t_total / k)])
-    shape = np.broadcast(moments[0, 0], shots).shape
+    _require_scores((moments[:, 0], moments[:, 1]))
+    shape = np.broadcast(moments[0, 2], shots).shape
     ones = np.ones(shape)
-    moments = (moments.reshape(2, 2, -1) * ones.ravel()).transpose(1, 2, 0)
+    # F and mu4 times ones (x * 1 is x) to broadcast with the shots, and
+    # then each row's variances: (rows, angles) each
+    f, mu4 = (moments[:, 2:].reshape(2, 2, -1) * ones.ravel()).transpose(
+        1, 2, 0)
     n = (shots.astype(np.int64) * ones.astype(np.int64)).ravel()
-    columns = np.empty((5, n.size))  # v, se, z and the two variances
-    for rows, blocks in _chain_blocks(moments, [1, k]):
-        _, var, witness = _certify(n[rows, None], moments=blocks)
-        columns[:, rows] = *witness, var[:, 0], var[:, 1]
+    var = _variance(f, mu4, n[:, None])
+    columns = np.empty((3, n.size))  # v, se and z
+    # blocks of rows whose chains, C-contiguous and of at most _CHAIN_BLOCK
+    # entries, sum and cumsum each row as they would that row alone
+    step = max(1, _CHAIN_BLOCK // (k + 1))
+    for i in range(0, n.size, step):
+        f_rows, var_rows = (x[i:i + step].repeat([1, k], axis=-1)
+                            for x in (f, var))
+        columns[:, i:i + step] = _witness(f_rows, f_rows, var_rows)
     # a scalar rate and shot count get the Python numbers of one report
-    v, se, z, var_end, var_seg, f_end, f_seg, n = (
+    v, se, z, f_end, f_seg, var_end, var_seg, n = (
         col.reshape(shape) if shape else col.item()
-        for col in (*columns, *moments[0].T, n))
-    return _report(v, se, z, (FiEstimate(f_end, var_end, n),)
-                   + (FiEstimate(f_seg, var_seg, n),) * k, "analytic-moment")
+        for col in (*columns, *f.T, *var.T, n))
+    return CertificationReport(
+        v, se, z, (FiEstimate(f_end, var_end, n),)
+        + (FiEstimate(f_seg, var_seg, n),) * k, "analytic-moment")
 
 
 def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int],
@@ -299,6 +308,8 @@ def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int]
             raise EstimationError(
                 "empty training cell with alpha=0; score undefined")
         scores.append(math.log(num / den) / (2.0 * delta))
+    if not all(map(math.isfinite, scores)):
+        raise EstimationError(f"score overflows at delta = {delta}")
     return scores[0], scores[1]
 
 
@@ -322,7 +333,7 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
 
     n1_e = int(rng_e.binomial(n_eval, float(model.p1(theta))))
     n = [n_eval]
-    return _estimates(n, *_certify(n, [n_eval - n1_e], (s0, s1))[:2])[0]
+    return _estimates(n, *_plugin(n, [n_eval - n1_e], (s0, s1)))[0]
 
 
 def mle_theta(p0_hat: float, vartheta: float = 0.0) -> float:
@@ -376,8 +387,8 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     Runs `reps` independent equal-partition experiments with n_per_context
     shots in each of the 1 + k contexts (one derived stream per context) and
     returns the mean and the empirical 2.5%/97.5% quantiles of V_hat.
-    A zero plug-in FI estimate in any replication raises EstimationError,
-    as in certify_vk.
+    A zero plug-in FI estimate in any replication raises
+    NonPositiveFiError, as in certify_vk.
     """
     k = _require_chain(k, t_total, "t_total")
     n_per_context = require_integral(n_per_context, "n_per_context", 1)
@@ -391,6 +402,7 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     n0 = np.column_stack([
         derive_rng(seed, _TAG_VK, j).binomial(n_per_context, p, size=reps)
         for j, p in enumerate(model.p0(thetas).tolist())])
-    v = _certify(np.full(k + 1, n_per_context), n0, (s0, s1))[2][0]
+    f_hat = _plugin(np.full(k + 1, n_per_context), n0, (s0, s1))[0]
+    v = v_chain(f_hat[:, 0], f_hat[:, 1:])
     lo, hi = np.quantile(v, [0.025, 0.975])
     return float(v.mean()), (float(lo), float(hi))

@@ -38,8 +38,6 @@ SPLIT_FI_FLOOR = 1e-12
 
 # Longest chain accepted; a K = 10**6 chain takes about 0.02 s and 15 MB.
 MAX_CHAIN_K = 10 ** 6
-# Most entries of a block of chains over many rates (see _chain_blocks).
-_CHAIN_BLOCK = 2 ** 20
 
 # Bisection levels that gamma_crossing evaluates per array call.
 _TREE_DEPTH = 6
@@ -168,18 +166,17 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     else:
         raise ValueError(f"unknown partition {partition!r}")
 
-    # one evaluation per angle of the partition: (rates, angles) or (angles,)
-    f_parts = np.array([model.fi(theta) for theta in angles]).T
+    # one evaluation per angle of the partition: (*rates, angles)
+    f_parts = np.stack([model.fi(theta) for theta in angles], axis=-1)
 
-    def series(r_end, r_parts):  # the sums of K inverses, block by block
-        r_segments = np.concatenate([r.sum(axis=-1) for _, r in _chain_blocks(
-            r_parts.reshape(-1, len(counts)), counts)]).reshape(shape)
+    def series(r_end, r_parts):  # a view of K inverses sums as K copies
+        r_segments = np.broadcast_to(r_parts, (*shape, k)).sum(axis=-1)
         return r_end - r_segments, r_segments
 
     v, r_segments = _series(series, f_end=f_end, f_segment_=f_parts)
     # a scalar rate gets the Python floats of a one-rate report
     f_end, f_benchmark, *f_parts = (col if shape else float(col) for col in (
-        f_end, 1.0 / r_segments, *f_parts.T))
+        f_end, 1.0 / r_segments, *np.moveaxis(f_parts, -1, 0)))
     return WitnessReport(
         v=v[()],
         f_end=f_end,
@@ -296,17 +293,6 @@ def _require_chain(k, total: float, name: str) -> int:
     return k
 
 
-def _chain_blocks(table, counts):
-    """The rows (axis -2) of table a block at a time: yields each block's row
-    slice and those rows with their last axis repeated counts times, of at
-    most _CHAIN_BLOCK entries (one row at least).  A block is C-contiguous,
-    so numpy sums each of its rows pairwise as it would that row alone."""
-    step = max(1, _CHAIN_BLOCK // sum(counts))
-    for start in range(0, table.shape[-2], step):
-        rows = slice(start, start + step)
-        yield rows, table[..., rows, :].repeat(counts, axis=-1)
-
-
 def _series(compose, **named):
     """compose(*inverses) of the inverses 1/F of the named FIs, after
     _require_positive.  A result that is not finite raises
@@ -327,16 +313,17 @@ def _series(compose, **named):
 
 
 def _require_positive(**named) -> None:
-    """Raise NonPositiveFiError at the first entry not > 0 (NaN included),
-    in argument order and then C order.  A name ending in "_" gets the
-    entry's index on the last axis appended."""
+    """Raise NonPositiveFiError at the first entry not > 0 (NaN included) or
+    infinite, in argument order and then C order.  A name ending in "_"
+    gets the entry's index on the last axis appended."""
     for name, value in named.items():
-        if isinstance(value, float) and value > 0.0:  # the scalar fast path
+        if isinstance(value, float) and 0.0 < value < math.inf:  # fast path
             continue
         values = np.asarray(value)
-        bad = np.flatnonzero(~(values > 0.0))
+        bad = np.flatnonzero(~(values > 0.0) | (values == math.inf))
         if bad.size:
             if name.endswith("_"):
                 name += str(bad[0] % values.shape[-1])
-            raise NonPositiveFiError(
-                f"{name} must be > 0, got {values.flat[bad[0]].item()}")
+            value = values.flat[bad[0]].item()
+            need = "finite" if value == math.inf else "> 0"
+            raise NonPositiveFiError(f"{name} must be {need}, got {value}")

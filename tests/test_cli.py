@@ -125,6 +125,13 @@ class TestConfig:
                            match="^seed must be an integral value, got 'abc'$"):
             build_config(["fi", "--config", str(path)])
 
+    def test_string_flag_in_a_config_file(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"grid": 5}))
+        code, out, err = run_cli(capsys, ["fi", "--config", str(path)])
+        assert (code, out, err) == (
+            2, "", "cfii: config error: grid must be a string, got 5\n")
+
     def test_stochastic_commands_require_seed(self, capsys):
         for argv in (["rmse"], ["adversary"], ["certify"]):
             code, _, err = run_cli(capsys, argv)
@@ -469,6 +476,20 @@ class TestCertifyCommand:
         assert err == ("cfii: numerical degeneracy: mu4 undefined at a "
                        "degenerate point\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        # every shot of the segment at pi/8 = vartheta0 gives outcome 0 at
+        # gamma = 0, where the analytic SE alone predicted z = 114.5
+        (["--gamma-grid", "0:0.6:5", "--eps-r", "0", "--vartheta0", PI_8],
+         "outcome 1 has zero probability; score undefined"),
+        # F_end ~ 3e-123: its fourth power underflows
+        (["--gamma-grid", "0.2:0.3:2", "--t-total", "700", "--k", "2"],
+         "1/F^4 overflows for f_end"),
+    ])
+    def test_sweep_degeneracies_make_no_claim(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["certify", *argv])
+        assert (code, out) == (3, "")
+        assert err == f"cfii: numerical degeneracy: {message}\n"
+
     def test_validation(self, capsys):
         assert run_cli(capsys, ["certify", "--seed", "1",
                                 "--shots", "0"])[0] == 2
@@ -664,6 +685,15 @@ class TestChainCommand:
         assert (code, out) == (3, "")
         assert err == ("cfii: numerical degeneracy: f_segment_0 must be > 0, "
                        "got 0.0\n")
+
+    def test_infinite_fi_is_a_degeneracy(self, capsys):
+        # zdot^2 overflows at gamma ~ 1e300 and theta = 1e-300
+        code, out, err = run_cli(capsys, [
+            "chain", "--gamma-grid", "10:1e300:40", "--t-total", "1e-300",
+            "--k-grid", "2:100:4"])
+        assert (code, out) == (3, "")
+        assert err == ("cfii: numerical degeneracy: f_end must be finite, "
+                       "got inf\n")
 
     def test_row_blocks_print_the_per_row_bytes(self, capsys):
         # 300 rates x (K + 1) = 1.5e6 entries: two row blocks of the
@@ -890,6 +920,13 @@ class TestFlagRule:
 
 
 class TestOutputPlumbing:
+    def test_nan_cell_is_a_degeneracy(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "nsit-demo",
+                            lambda config: ResultTable({"x": [1.0, math.nan]}))
+        code, out, err = run_cli(capsys, ["nsit-demo"])
+        assert (code, out, err) == (
+            3, "", "cfii: numerical degeneracy: undefined (NaN) result cells\n")
+
     def test_out_writes_file_and_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out, _ = run_cli(capsys, [

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from cfii import witness
-from cfii.errors import (BranchWarning, DegenerateModelError, EstimationError)
-from cfii.estimate import (ContextSample, _certify, analytic_certification,
-                           analytic_mu4, certify_vk, classifier_fi,
-                           classifier_score, fi_estimate_variance, mc_rmse,
-                           mc_vk_distribution, mle_theta, plugin_fi,
-                           sample_binary)
+from cfii import estimate
+from cfii.errors import (BranchWarning, DegenerateModelError, EstimationError,
+                         NonPositiveFiError, ResistanceOverflowError)
+from cfii.estimate import (ContextSample, _plugin, _variance, _witness,
+                           analytic_certification, analytic_mu4, certify_vk,
+                           classifier_fi, classifier_score,
+                           fi_estimate_variance, mc_rmse, mc_vk_distribution,
+                           mle_theta, plugin_fi, sample_binary)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.rng import derive_rng
@@ -102,6 +103,14 @@ class TestPluginFi:
         assert float(NOISY.score(0, T)) ** 2 == float(NOISY.score(1, T)) ** 2
         sample = sample_binary(NOISY, T, 1000, seed=7)
         assert plugin_fi(sample, NOISY).variance == 0.0
+
+    def test_zero_probability_outcome_is_refused(self):
+        # theta = vartheta0 on the undamped lossless fringe: z = 1, so
+        # outcome 1 never occurs and its score 0/0 is undefined
+        model = NoisyFringeModel(NoisyFringeParams(0.0, 0.0, math.pi / 8))
+        with pytest.raises(DegenerateModelError, match=(
+                r"^outcome 1 has zero probability; score undefined$")):
+            plugin_fi(ContextSample(math.pi / 8, 1000, 1000), model)
 
     def test_single_shot_is_degenerate(self):
         sample = ContextSample(theta=0.9, n=1, n0=0)
@@ -318,7 +327,7 @@ class TestAnalyticCertification:
     def test_rate_blocks_have_no_seam(self, monkeypatch):
         # blocks of a few rows each, some splitting a K = 7 table unevenly
         gammas = np.linspace(0.0, 0.6, 29)
-        monkeypatch.setattr(witness, "_CHAIN_BLOCK", 20)
+        monkeypatch.setattr(estimate, "_CHAIN_BLOCK", 20)
         report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=0.02)), T, 7, 1000)
         for i, gamma in enumerate(gammas.tolist()):
@@ -326,6 +335,23 @@ class TestAnalyticCertification:
                 gamma=gamma, epsilon_r=0.02)), T, 7, 1000)
             assert (report.v_hat[i], report.se[i], report.z[i]) == (
                 one.v_hat, one.se, one.z)
+
+    @pytest.mark.parametrize("gamma", [0.0, np.array([0.3, 0.0, 0.6])])
+    def test_zero_probability_outcome_is_refused(self, gamma):
+        # the segment angle pi/8 = vartheta0 of the undamped lossless fringe
+        # has z = 1 and zdot = 0: F = 1 (the removable singularity) and an
+        # analytic variance of 0, but every shot gives outcome 0, F_hat = 0
+        model = NoisyFringeModel(NoisyFringeParams(gamma, 0.0, math.pi / 8))
+        with pytest.raises(DegenerateModelError, match=(
+                r"^outcome 1 has zero probability; score undefined$")):
+            analytic_certification(model, T, 4, 1000)
+
+    def test_se_of_a_tiny_fi_is_refused(self):
+        # F_end ~ 3e-123 at t_total = 700: 1/F is finite, 1/F^4 is not
+        model = NoisyFringeModel(NoisyFringeParams(np.array([0.2, 0.3]), 0.02))
+        with pytest.raises(ResistanceOverflowError,
+                           match=r"^1/F\^4 overflows for f_end$"):
+            analytic_certification(model, 700.0, 2, 1000)
 
     def test_shot_column_validation(self):
         rates = NoisyFringeModel(NoisyFringeParams(
@@ -380,7 +406,9 @@ class TestCertifyCore:
         # mu4 = F^2 + n Var, with a context at mu4 = F^2 (Var clamped at 0)
         mu4 = f * f + n * np.append(0.0, rng.uniform(0.0, 1e-2, size=k))
         moments = (f, mu4) if analytic else None
-        f_hat, var_hat, (v, se, z) = _certify(n, n0, (s0, s1), moments)
+        f_hat, var_hat = _plugin(n, n0, (s0, s1))
+        v, se, z = (_witness(f_hat, f, _variance(f, mu4, n)) if analytic
+                    else _witness(f_hat, f_hat, var_hat))
         assert f_hat.shape == var_hat.shape == (20, 2, c)
         assert v.shape == z.shape == (20, 2)
         se = np.broadcast_to(se, v.shape)  # one SE for all rows in analytic
@@ -397,12 +425,22 @@ class TestCertifyCore:
         # empirical SE of single-shot contexts is 0: Z is then +-inf or 0
         n0 = np.array([[1, 0, 1], [0, 1, 0]])
         scores = (np.array([0.5, 2.0, 2.0]), np.array([-0.5, -2.0, -2.0]))
-        _, var_hat, (v, se, z) = _certify(np.ones(3, dtype=int), n0, scores)
+        f_hat, var_hat = _plugin(np.ones(3, dtype=int), n0, scores)
+        v, se, z = _witness(f_hat, f_hat, var_hat)
         assert (var_hat == 0.0).all() and (se == 0.0).all()
         assert v.tolist() == [3.5, 3.5]
         assert z.tolist() == [-math.inf, -math.inf]
         est = plugin_fi(ContextSample(theta=0.9, n=1, n0=1), NOISY)
         assert est.degenerate and est.variance == 0.0
+
+    def test_witness_names_the_context_whose_f4_overflows(self):
+        # 1e-80 inverts to 1e80, but its fourth power is subnormal
+        f = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 1e-80]])
+        with pytest.raises(ResistanceOverflowError,
+                           match=r"^1/F\^4 overflows for f_segment_1$"):
+            _witness(f, f, np.ones_like(f))
+        v, se, z = _witness(f[0], f[0], np.ones(3))
+        assert se == math.sqrt(1.0 + 1.0 / 16.0 + 1.0 / 81.0)
 
     def test_mc_vk_distribution_is_unchanged(self):
         cases = [
@@ -441,6 +479,11 @@ class TestClassifierScore:
             classifier_score((0, 0), (1, 1), delta=0.1)
         with pytest.raises(EstimationError):
             classifier_score((5, 0), (0, 5), delta=0.1, alpha=0.0)
+        # 1/(2 delta) overflows: the scores would be -inf and inf
+        with pytest.raises(EstimationError,
+                           match=r"^score overflows at delta = 5e-324$"):
+            classifier_score((10, 90), (90, 10), 5e-324)
+        assert classifier_score((50, 50), (50, 50), 5e-324) == (0.0, 0.0)
 
 
 class TestClassifierFi:
@@ -561,7 +604,8 @@ class TestMonteCarlo:
     @pytest.mark.filterwarnings("error")
     def test_vk_zero_plugin_fi_raises(self):
         # segment angle 1.2 / 4 = vartheta0 at gamma = 0: zdot and both
-        # scores vanish, so every segment estimate is 0, as in certify_vk
+        # scores vanish, so every segment estimate is 0, refused by v_chain
         params = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.3)
-        with pytest.raises(EstimationError, match="zero plug-in FI"):
+        with pytest.raises(NonPositiveFiError,
+                           match=r"^f_segment_0 must be > 0, got 0\.0$"):
             mc_vk_distribution(params, 1.2, 4, 500, 200, 11)

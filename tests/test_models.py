@@ -227,6 +227,8 @@ class TestCategorical:
             CategoricalModel(np.array([0.5, 0.5]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             CategoricalModel(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="^p and pdot must be 1-D arrays"):
+            CategoricalModel(np.array([0.5, 0.5]), np.array([0.0, 0.0, 0.0]))
 
     def test_product_additivity(self):
         m1 = NoisyFringeModel(GOLDEN).as_categorical(0.8)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cfii import witness
 from cfii.errors import (DegenerateBenchmarkError, NoCrossingError,
-                         NonPositiveFiError, ResistanceOverflowError)
+                         NonPositiveFiError, OptimizationError,
+                         ResistanceOverflowError)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.witness import (classical_benchmark_path, gain_indicator,
@@ -147,6 +147,19 @@ class TestArrayArguments:
         with pytest.raises(ValueError, match="at least one segment"):
             v_chain(np.ones(2), np.ones((2, 0)))
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: v_chain(math.inf, [1.0]), r"^f_end must be finite, got inf$"),
+        (lambda: v_chain(np.ones(2), [[1.0, 1.0], [1.0, math.inf]]),
+         r"^f_segment_1 must be finite, got inf$"),
+        (lambda: gain_indicator(np.array([1.0, math.inf]), 1.0),
+         r"^f_end must be finite, got inf$"),
+    ])
+    def test_an_infinite_fi_is_refused(self, call, match):
+        # an FI that overflowed to inf is refused: its inverse 0 would
+        # compose into a finite witness
+        with pytest.raises(NonPositiveFiError, match=match):
+            call()
+
 
 class TestResistanceOverflow:
     """A positive FI whose inverse, or a sum of inverses, overflows is
@@ -180,6 +193,12 @@ class TestSplitOptimizedBenchmark:
         f, lam = split_optimized_benchmark(IDEAL_MODEL, 1.7)
         assert lam == 0.5
         assert f == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_live_split_raises(self):
+        # gamma = 1e6 damps every segment FI below SPLIT_FI_FLOOR
+        with pytest.raises(OptimizationError, match="vanishes for every"):
+            split_optimized_benchmark(NoisyFringeModel(NoisyFringeParams(1e6)),
+                                      1.0)
 
     def test_golden_configuration(self):
         model = NoisyFringeModel(GOLDEN)
@@ -295,11 +314,10 @@ class TestKChainGain:
             assert [f[i] for f in report.f_segments] == list(one.f_segments)
             assert report.segments == one.segments
 
-    def test_rate_blocks_have_no_seam(self, monkeypatch):
-        # blocks of a few rates each, some splitting a K = 7 chain table
-        # unevenly: every column still equals its one-rate report
+    def test_rate_table_sums_like_one_rate(self):
+        # the K inverses of all 29 rates are summed over one broadcast view:
+        # every column still equals its one-rate report
         gammas = np.linspace(0.0, 0.6, 29)
-        monkeypatch.setattr(witness, "_CHAIN_BLOCK", 20)
         report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=0.02)), T, 7)
         for i, gamma in enumerate(gammas.tolist()):
@@ -307,6 +325,18 @@ class TestKChainGain:
                 gamma=gamma, epsilon_r=0.02)), T, 7)
             assert (report.v[i], report.f_benchmark[i]) == (
                 one.v, one.f_benchmark)
+
+    def test_rates_of_any_shape(self):
+        # rates on two axes keep their order: row i, column j is the
+        # one-rate report of gammas[i, j]
+        gammas = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(gammas)),
+                              1.0, 4)
+        for i, j in np.ndindex(gammas.shape):
+            one = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+                float(gammas[i, j]))), 1.0, 4)
+            assert (report.v[i, j], report.f_segments[0][i, j]) == (
+                one.v, one.f_segments[0])
 
     def test_zero_segment_fi_of_one_rate_raises(self):
         # at gamma = 0 the segment angle pi/2 sits at a fringe extreme
@@ -437,6 +467,11 @@ class TestGammaCrossing:
         reference = brentq(excess, grid[i], grid[i + 1], xtol=1e-12)
         assert gamma_star == pytest.approx(reference, abs=1e-8)
         assert excess(gamma_star) == pytest.approx(0.0, abs=1e-7)
+
+    def test_range_that_starts_below_one(self):
+        with pytest.raises(NoCrossingError, match="does not start above 1"):
+            gamma_crossing(NoisyFringeParams(0.0, 0.02), T, 4,
+                           gamma_range=(1.0, 2.0))
 
     def test_no_crossing_in_narrow_range(self):
         base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.0)
