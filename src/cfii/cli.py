@@ -365,10 +365,8 @@ def cmd_fi(config: ExperimentConfig) -> ResultTable:
     params = config.params
     model = _model_from(params)
     thetas = _parse_grid(params["grid"], "--grid")
-    # a gamma * theta that overflows damps the fringe to its limit z = 0
-    with np.errstate(over="ignore"):
-        return ResultTable({"theta": thetas, "z": model.z(thetas),
-                            "fi": model.fi(thetas)})
+    return ResultTable({"theta": thetas, "z": model.z(thetas),
+                        "fi": model.fi(thetas)})
 
 
 def cmd_landscape(config: ExperimentConfig) -> ResultTable:
@@ -441,10 +439,8 @@ def _certify_sweep(params: dict) -> ResultTable:
     shots = (_parse_int_grid(params["shots_grid"], "--shots-grid", np.geomspace)
              if params["shots_grid"] else np.array([params["shots"]]))
     gamma_col, shots_col = _product_columns(gammas, shots)
-    with np.errstate(over="ignore"):  # as in cmd_fi
-        report = analytic_certification(_noisy(params, gamma_col),
-                                        params["t_total"], params["k"],
-                                        shots_col)
+    report = analytic_certification(_noisy(params, gamma_col),
+                                    params["t_total"], params["k"], shots_col)
     z = report.z
     return ResultTable({
         "gamma": gamma_col, "shots": shots_col,
@@ -488,14 +484,12 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
             f"theta must lie inside the MLE branch (vartheta, vartheta + pi)"
             f" = ({vartheta!r}, {vartheta + math.pi!r}), got {theta!r}")
     n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
+    # mc_rmse first: it refuses any fringe but cos, whose F n may overflow
+    rmse = [mc_rmse(model, theta, n, params["reps"], config.seed, i,
+                    vartheta=vartheta) for i, n in enumerate(n_values.tolist())]
     crb = 1.0 / np.sqrt(n_values * f)
-    return ResultTable({
-        "n": n_values,
-        "rmse": [mc_rmse(model, theta, n, params["reps"], config.seed, i,
-                         vartheta=vartheta)
-                 for i, n in enumerate(n_values.tolist())],
-        "crb": crb, "crb_classical": math.sqrt(2.0) * crb,
-    })
+    return ResultTable({"n": n_values, "rmse": rmse, "crb": crb,
+                        "crb_classical": math.sqrt(2.0) * crb})
 
 
 def cmd_chain(config: ExperimentConfig) -> ResultTable:
@@ -509,10 +503,9 @@ def cmd_chain(config: ExperimentConfig) -> ResultTable:
     k_col, gamma_col = _product_columns(ks, gammas)
     model = _noisy(params, gammas)
     # one library call per distinct k, over every rate
-    with np.errstate(over="ignore"):  # as in cmd_fi
-        f_end, f_segment, f_benchmark, v_k, gamma_k = np.hstack([
-            (r.f_end, r.f_segments[0], r.f_benchmark, r.v, r.gamma_ratio)
-            for r in (k_chain_gain(model, t_total, k) for k in ks.tolist())])
+    f_end, f_segment, f_benchmark, v_k, gamma_k = np.hstack([
+        (r.f_end, r.f_segments[0], r.f_benchmark, r.v, r.gamma_ratio)
+        for r in (k_chain_gain(model, t_total, k) for k in ks.tolist())])
     return ResultTable({
         "k": k_col, "gamma": gamma_col,
         "f_end": f_end,

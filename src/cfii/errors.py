@@ -20,8 +20,8 @@ class NonPositiveFiError(CfiiError, ValueError):
 
 
 class ResistanceOverflowError(CfiiError, ValueError):
-    """A Fisher information is positive but too small to invert: its inverse
-    (an information resistance), or a sum of such inverses, overflows."""
+    """A positive Fisher information whose inverse (an information
+    resistance), a sum of such inverses, 1/F^4 or F^4 overflows."""
 
 
 class NotPositiveDefiniteError(CfiiError, ValueError):

@@ -138,24 +138,27 @@ def _require_scores(scores) -> None:
 
 def _variance(f, mu4, n):
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI, at least 0:
-    mu4 = F^2 where s^2 is outcome-independent, and may round below it."""
-    return np.maximum(0.0, (mu4 - f * f) / n)
+    mu4 = F^2 where s^2 is outcome-independent, and may round below it.
+    NaN where F^2 overflows, an F whose F^4 _witness refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(0.0, (mu4 - f * f) / n)
 
 
 def _witness(f_hat, f, var):
     """(V_hat, SE, Z) of each row of plug-in FIs f_hat (..., C), context 0
     the endpoint, with SE^2 = sum Var/F^4 over the FIs f and variances var.
-    v_chain refuses an f_hat not > 0, and an F whose 1/F^4 overflows raises
-    ResistanceOverflowError naming its context."""
+    v_chain refuses an f_hat not > 0, and an F whose 1/F^4 or F^4 (an SE of
+    0) overflows raises ResistanceOverflowError naming its context."""
     v = v_chain(f_hat[..., 0], f_hat[..., 1:])
     # libm's pow, and below a left-to-right cumsum: numpy's SIMD power and
     # pairwise sum differ in the last bit, and seeded reports are pinned
-    f4 = np.float_power(f, 4)
     with np.errstate(divide="ignore", over="ignore"):
-        small = np.flatnonzero(np.isinf(1.0 / f4)) % f4.shape[-1]
-    if small.size:
-        raise ResistanceOverflowError("1/F^4 overflows for " + (
-            f"f_segment_{small[0] - 1}" if small[0] else "f_end"))
+        f4 = np.float_power(f, 4)
+        bad = np.flatnonzero(np.isinf(1.0 / f4) | np.isinf(f4))
+    if bad.size:
+        i, big = bad[0] % f4.shape[-1], f4.flat[bad[0]] > 1.0
+        raise ResistanceOverflowError(("F^4" if big else "1/F^4") + (
+            " overflows for " + (f"f_segment_{i - 1}" if i else "f_end")))
     se = np.sqrt(np.cumsum(var / f4, axis=-1)[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, -v / se,
@@ -179,36 +182,18 @@ def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
     A single-shot sample cannot estimate a variance; it reports 0 with the
     degenerate flag set.
     """
-    n, scores = [sample.n], _fringe_moments(model, sample.theta)[:2]
+    n, scores = [sample.n], model._moments(sample.theta)[:2]
     return _estimates(n, *_plugin(n, [sample.n0], scores))[0]
-
-
-def _fringe_moments(model: BinaryModel, theta):
-    """The scores (s0, s1), F and mu4 = sum_x p_x s_x^4 at the angles theta
-    (over an array-gamma model's rates), from one z and one zdot.  mu4 is 0
-    where zdot is, and undefined (DegenerateModelError) where an outcome of
-    zero probability has zdot != 0; its score comes out inf or NaN."""
-    z, zd = model.z(theta), model.zdot(theta)
-    f = model._fi(theta, z, zd)
-    if ((zd != 0.0) & (abs(z) >= 1.0)).any():
-        raise DegenerateModelError("mu4 undefined at a degenerate point")
-    # float_power is libm's pow, as Python's ** is on a float
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s0, s1 = zd / (1.0 + z), -zd / (1.0 - z)
-        mu4 = np.where(zd == 0.0, 0.0,
-                       0.5 * (1.0 + z) * np.float_power(s0, 4)
-                       + 0.5 * (1.0 - z) * np.float_power(s1, 4))
-    return s0, s1, f, mu4
 
 
 def analytic_mu4(model: BinaryModel, theta: float) -> float:
     """Fourth moment of the score, sum_x p_x s_x^4."""
-    return float(_fringe_moments(model, require_real(theta, "theta"))[3])
+    return float(model._moments(require_real(theta, "theta"))[3])
 
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
-    f, mu4 = _fringe_moments(model, require_real(theta, "theta"))[2:]
+    f, mu4 = model._moments(require_real(theta, "theta"))[2:]
     return float(_variance(f, mu4, require_integral(n, "n", 1)))
 
 
@@ -228,8 +213,7 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
     contexts = [endpoint, *segments]
-    s0, s1, f, mu4 = _fringe_moments(
-        model, np.array([s.theta for s in contexts]))
+    s0, s1, f, mu4 = model._moments(np.array([s.theta for s in contexts]))
     n = [s.n for s in contexts]
     f_hat, var_hat = _plugin(n, [s.n0 for s in contexts], (s0, s1))
     if se_mode == "analytic-moment":
@@ -255,7 +239,7 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
         require_integral(count, "n_per_context", 2)
     # (s0, s1, F, mu4) at both angles; a degenerate protocol, with an
     # outcome of probability 0, would predict a claim that its data refuse
-    moments = np.array([_fringe_moments(model, theta)
+    moments = np.array([model._moments(theta)
                         for theta in (t_total, t_total / k)])
     _require_scores((moments[:, 0], moments[:, 1]))
     shape = np.broadcast(moments[0, 2], shots).shape
@@ -398,7 +382,7 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     # the model on the K + 1 context angles; context j draws from its own
     # stream (seed, 4, j)
     thetas = np.repeat([t_total, t_total / k], [1, k])
-    s0, s1 = _fringe_moments(model, thetas)[:2]
+    s0, s1 = model._moments(thetas)[:2]
     n0 = np.column_stack([
         derive_rng(seed, _TAG_VK, j).binomial(n_per_context, p, size=reps)
         for j, p in enumerate(model.p0(thetas).tolist())])

@@ -12,6 +12,9 @@ families are provided:
 
 * `NoisyFringeModel`: exponential phase damping plus symmetric readout error,
       z(theta) = (1 - 2 eps_r) exp(-gamma theta) cos(theta - vartheta0).
+  Where gamma theta overflows, the damped term takes its limit 0, as do z
+  and zdot; an FI past the largest float is inf.  Neither warns (a scalar's
+  overflowing products are of Python floats, which overflow silently).
 
 Per-outcome scores are s0 = zdot/(1 + z) and s1 = -zdot/(1 - z); the Fisher
 information is F = zdot^2 / (1 - z^2).  A point with z^2 = 1 is a removable
@@ -116,20 +119,39 @@ class BinaryModel(ABC):
         return self._fi(theta, self.z(theta), self.zdot(theta))
 
     def _fi(self, theta, z, zd):
-        """fi at theta from z and zdot there; zddot is evaluated only at a
-        singular point."""
-        denom = 1.0 - z * z
-        singular = np.abs(denom) < SINGULARITY_TOL
-        scalar = np.ndim(denom) == 0
-        if not (singular if scalar else singular.any()):
-            return zd * zd / denom
-        if np.any(singular & ~(zd * zd < SINGULARITY_TOL)):
-            raise DegenerateModelError(
-                "irregular fringe point: z^2 = 1 with nonzero zdot")
-        if scalar:
-            return -z * self.zddot(theta)
-        safe = np.where(singular, 1.0, denom)
-        return np.where(singular, -z * self.zddot(theta), zd * zd / safe)
+        """fi at theta from z and zdot there; zddot is evaluated only where
+        some point is singular, and its values elsewhere are discarded."""
+        if isinstance(zd, float):  # the scalar fast path, in Python floats
+            a, b = float(z), float(zd)
+            if not abs(1.0 - a * a) < SINGULARITY_TOL:
+                return b * b / (1.0 - a * a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            zd2, denom = zd * zd, 1.0 - z * z
+            singular = np.abs(denom) < SINGULARITY_TOL
+            if not singular.any():
+                return zd2 / denom
+            if (singular & ~(zd2 < SINGULARITY_TOL)).any():
+                raise DegenerateModelError(
+                    "irregular fringe point: z^2 = 1 with nonzero zdot")
+            return np.where(singular, -z * self.zddot(theta),
+                            zd2 / np.where(singular, 1.0, denom))[()]
+
+    def _moments(self, theta):
+        """The scores (s0, s1), F and mu4 = sum_x p_x s_x^4 at the angles
+        theta, from one z and one zdot.  mu4 is 0 where zdot is, and
+        undefined (DegenerateModelError) where an outcome of zero probability
+        has zdot != 0; its score comes out inf or NaN."""
+        z, zd = self.z(theta), self.zdot(theta)
+        f = self._fi(theta, z, zd)
+        if ((zd != 0.0) & (abs(z) >= 1.0)).any():
+            raise DegenerateModelError("mu4 undefined at a degenerate point")
+        # float_power is libm's pow, as Python's ** is on a float
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s0, s1 = zd / (1.0 + z), -zd / (1.0 - z)
+            mu4 = np.where(zd == 0.0, 0.0,
+                           0.5 * (1.0 + z) * np.float_power(s0, 4)
+                           + 0.5 * (1.0 - z) * np.float_power(s1, 4))
+        return s0, s1, f, mu4
 
     def as_categorical(self, theta) -> "CategoricalModel":
         """The same model at a fixed theta as a two-outcome categorical."""
@@ -169,28 +191,29 @@ class NoisyFringeModel(BinaryModel):
 
     params: NoisyFringeParams
 
-    def _check(self, theta) -> None:
-        if (theta < 0.0 if type(theta) is float  # the scalar fast path
-                else (np.asarray(theta) < 0.0).any()):
+    def _terms(self, theta):
+        """contrast * exp(-gamma theta) and the phase x = theta - vartheta0."""
+        p = self.params
+        if type(theta) is float and type(p.gamma) is float:  # the fast path
+            negative, exponent = theta < 0.0, -p.gamma * theta
+        else:
+            with np.errstate(over="ignore"):
+                negative, exponent = np.less(theta, 0).any(), -p.gamma * theta
+        if negative:
             raise ValueError("noisy fringe is defined for theta >= 0")
+        return p.contrast * np.exp(exponent), theta - p.vartheta0
 
     def z(self, theta):
-        self._check(theta)
-        p = self.params
-        return p.contrast * np.exp(-p.gamma * theta) * np.cos(theta - p.vartheta0)
+        damped, x = self._terms(theta)
+        return damped * np.cos(x)
 
     def zdot(self, theta):
-        self._check(theta)
-        p = self.params
-        c, s = np.cos(theta - p.vartheta0), np.sin(theta - p.vartheta0)
-        return -p.contrast * np.exp(-p.gamma * theta) * (p.gamma * c + s)
+        damped, x = self._terms(theta)
+        return -damped * (self.params.gamma * np.cos(x) + np.sin(x))
 
     def zddot(self, theta):
-        self._check(theta)
-        p = self.params
-        c, s = np.cos(theta - p.vartheta0), np.sin(theta - p.vartheta0)
-        return p.contrast * np.exp(-p.gamma * theta) * (
-            (p.gamma * p.gamma - 1.0) * c + 2.0 * p.gamma * s)
+        (damped, x), g = self._terms(theta), self.params.gamma
+        return damped * ((g * g - 1.0) * np.cos(x) + 2.0 * g * np.sin(x))
 
 
 @dataclass

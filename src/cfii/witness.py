@@ -195,22 +195,22 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
 
     Scans 64 bracketing points over gamma_range (finite, 0 <= lo < hi) in
     one array evaluation, then bisects the first sign-change bracket [a, b],
-    keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide;
-    returns its midpoint.  The bisection is batched: each round evaluates the
-    next six levels of midpoints at once and walks that tree with the scalar
-    bisection's test, so gamma_star is bit-identical to bisecting one
-    midpoint at a time.  A zero segment FI raises only at a point that
-    scalar bisection would evaluate.
+    keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide or
+    its midpoint is one of its ends; returns its midpoint.  The bisection is
+    batched: each round evaluates the next six levels of midpoints at once
+    and walks that tree with the scalar bisection's test, so gamma_star is
+    bit-identical to bisecting one midpoint at a time.  A zero segment FI
+    raises only at a point that scalar bisection would evaluate.
     """
     k = _require_chain(k, t_total, "t_total")
 
     def excess(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
-        f_segment = m.fi(t_total / k)
-        # off the bisection path: a zero segment FI, or gamma t overflowing
+        f_segment, f_end = m.fi(t_total / k), m.fi(t_total)
+        # off the bisection path: a zero segment FI, or F k overflowing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return m.fi(t_total) * k / f_segment - 1.0, f_segment
+            return f_end * k / f_segment - 1.0, f_segment
 
     lo = require_real(gamma_range[0], "gamma_range[0]", 0)
     hi = require_real(gamma_range[1], "gamma_range[1]", lo, bounds="(]")
@@ -226,7 +226,7 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
             f"Gamma_K stays above 1 on [{lo}, {hi}]; no crossing")
     i = int(sign_change[0])
     a, b = float(grid[i]), float(grid[i + 1])
-    while b - a > 1e-8:
+    while b - a > 1e-8 and a < 0.5 * (a + b) < b:
         # the next levels of midpoints, each the midpoint of its two sorted
         # neighbours, as bisection computes them; walking the levels is a
         # binary search over the sorted edges
@@ -299,7 +299,7 @@ def _series(compose, **named):
     ResistanceOverflowError, naming the FIs too small to invert, or else
     all the FIs whose inverses were summed, instead of letting numpy warn."""
     _require_positive(**named)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         inverses = [1.0 / value for value in named.values()]
         series = compose(*inverses)
     if not np.isfinite(series).all():

@@ -762,7 +762,11 @@ class TestCrossingCommand:
 
 _ODD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "0.7",
                         "1e-300", "1e300", "abc"])
-_FLOATS = _ODD | st.floats(-7.0, 7.0).map(repr)
+# magnitudes log-uniform over [1e-308, 1e308], of either sign: extreme rates
+# and angles whose products overflow or underflow
+_EXTREME = st.builds(lambda sign, e: repr(sign * 10.0 ** e),
+                     st.sampled_from([1.0, -1.0]), st.floats(-308.0, 308.0))
+_FLOATS = _ODD | st.floats(-7.0, 7.0).map(repr) | _EXTREME
 _GRIDS = st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, st.integers(0, 4))
 # a small adversary budget; zero and negative values stay in the draw
 _BUDGET = ("restarts", "steps")
@@ -813,6 +817,25 @@ def _argv(command):
                "100:200:2", "--reps", "5"])
 @example(argv=["fi", "--model", "noisy", "--eps-r", "0", "--gamma", "2",
                "--grid", "0:0.001:3"])
+@example(argv=["chain", "--gamma-grid", "0.0:9.353615843882265e+143:5",
+               "--t-total", "8.502845843107654e-160", "--k", "2",
+               "--eps-r", "0.47523077397199537"])
+@example(argv=["certify", "--seed", "1", "--gamma", "1e300",
+               "--t-total", "1e-300"])
+@example(argv=["rmse", "--seed", "1", "--model", "noisy", "--gamma", "1e300",
+               "--theta", "1e-300"])
+@example(argv=["crossing", "--t-total", "700", "--k", "8", "--gamma-max",
+               "1e308", "--vartheta0", "1.5707963267948966"])
+@example(argv=["certify", "--gamma-grid", "0.0:6.778859359323615e+206:22",
+               "--t-total", "6.283185307179586", "--k", "8",
+               "--shots-grid", "2:1000:6", "--eps-r", "0"])
+@example(argv=["certify", "--seed", "1", "--gamma", "1e40",
+               "--t-total", "1e-45"])
+@example(argv=["crossing", "--gamma-max", "1e155", "--t-total", "1e-155",
+               "--k", "8"])
+@example(argv=["crossing", "--gamma-max", "1e30", "--t-total", "1e-30"])
+@example(argv=["rmse", "--seed", "1", "--model", "noisy", "--gamma", "1e153",
+               "--theta", "1e-153"])
 def test_fuzzed_flags_exit_cleanly(argv):
     """Any flag values end in exit 0 with finite cells and a strict-JSON
     rendering, or in exit 2/3 with a single stderr line; no exception or

@@ -439,6 +439,11 @@ class TestCertifyCore:
         with pytest.raises(ResistanceOverflowError,
                            match=r"^1/F\^4 overflows for f_segment_1$"):
             _witness(f, f, np.ones_like(f))
+        # 1e80 is finite, but an infinite F^4 would give SE = 0 and Z = inf
+        f = np.array([[1.0, 2.0, 3.0], [1e80, 2.0, 3.0]])
+        with pytest.raises(ResistanceOverflowError,
+                           match=r"^F\^4 overflows for f_end$"):
+            _witness(f, f, np.ones_like(f))
         v, se, z = _witness(f[0], f[0], np.ones(3))
         assert se == math.sqrt(1.0 + 1.0 / 16.0 + 1.0 / 81.0)
 

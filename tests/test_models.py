@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfii.errors import DegenerateModelError
+from cfii.errors import CfiiError, DegenerateModelError
+from cfii.estimate import analytic_certification
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
                          QubitPreparation, categorical_fi,
                          categorical_product)
+from cfii.witness import k_chain_gain, split_optimized_benchmark
 
 IDEAL = QubitPreparation(vartheta=0.0, varphi=math.pi / 2)
 TILTED = QubitPreparation(vartheta=0.7 * math.pi, varphi=0.3 * math.pi)
@@ -149,6 +151,40 @@ class TestNoisyFringe:
                 else:
                     assert (getattr(grid, name)(theta).tobytes()
                             == np.array(scalar).tobytes()), (name, theta)
+
+    # (gamma, theta, z and zdot vanish, the FI): at 1e308 gamma theta
+    # overflows; at 1e300 zdot^2 does; at 1e40 F is finite but F^4 is not
+    @pytest.mark.parametrize("gamma, theta, dark, f", [
+        (1e308, 2.0, True, 0.0), (1e300, 1e-300, False, math.inf),
+        (1e40, 1e-45, False, None)])
+    @pytest.mark.parametrize("shape", ["scalar", "theta array", "gamma array"])
+    def test_extreme_rates_take_their_limits(self, gamma, theta, dark, f,
+                                             shape):
+        # every floating-point event numpy would report is an error here;
+        # underflow to 0 is the limit itself and numpy never reports it
+        grid = np.array([theta, theta]) if shape == "theta array" else theta
+        model = NoisyFringeModel(NoisyFringeParams(
+            gamma=np.array([gamma, gamma]) if shape == "gamma array" else gamma,
+            epsilon_r=0.02))
+        with np.errstate(all="raise", under="ignore"):
+            z, zdot, fi = (getattr(model, name)(grid)
+                           for name in ("z", "zdot", "fi"))
+            assert np.isfinite([z, zdot]).all()
+            assert np.all(z == 0.0) == np.all(zdot == 0.0) == dark
+            assert np.all(fi == f) if f is not None else np.isfinite(fi).all()
+            calls = [(k_chain_gain, 4), (analytic_certification, 4, 100)]
+            if shape != "gamma array":  # one rate only
+                calls.append((split_optimized_benchmark,))
+            for fn, *args in calls:
+                # a zero or infinite F, and an F^4 past the largest float in
+                # the certificate's SE, are refused
+                refused = f is not None or fn is analytic_certification
+                try:
+                    fn(model, theta, *args)
+                except CfiiError:
+                    assert refused, fn.__name__
+                else:
+                    assert not refused, fn.__name__
 
 
 class TestScores:
