@@ -21,7 +21,7 @@ class NonPositiveFiError(CfiiError, ValueError):
 
 class ResistanceOverflowError(CfiiError, ValueError):
     """A positive Fisher information whose inverse (an information
-    resistance), a sum of such inverses, 1/F^4 or F^4 overflows."""
+    resistance), a sum of such inverses, F^2, 1/F^4 or F^4 overflows."""
 
 
 class NotPositiveDefiniteError(CfiiError, ValueError):

@@ -118,14 +118,18 @@ def _plugin(n, n0, scores):
     _require_scores(scores)
     n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
     n1 = n - n0
-    sq0, sq1 = (s * s for s in scores)
-    # two-valued data: the sum of squared deviations is n0 n1 (sq0 - sq1)^2
-    # / n, exactly 0 when both outcomes carry the same squared score.
-    # n^2 (n - 1) rounds in float64 like the exact integer while n < 9e7
-    # (and overflows int64); one shot gives 0
-    gap = sq0 - sq1
-    return ((n0 * sq0 + n1 * sq1) / n,
-            n0 * n1 * gap * gap / np.where(n > 1.0, n * n * (n - 1.0), 1.0))
+    # a square past the largest float is inf (or NaN, times a count of 0),
+    # as in models.py; _estimates and v_chain refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq0, sq1 = (s * s for s in scores)
+        # two-valued data: the sum of squared deviations is n0 n1 (sq0 -
+        # sq1)^2 / n, exactly 0 when both outcomes carry the same squared
+        # score.  n^2 (n - 1) rounds in float64 like the exact integer while
+        # n < 9e7 (and overflows int64); one shot gives 0
+        gap = sq0 - sq1
+        return ((n0 * sq0 + n1 * sq1) / n,
+                n0 * n1 * gap * gap / np.where(n > 1.0, n * n * (n - 1.0),
+                                               1.0))
 
 
 def _require_scores(scores) -> None:
@@ -139,7 +143,7 @@ def _require_scores(scores) -> None:
 def _variance(f, mu4, n):
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI, at least 0:
     mu4 = F^2 where s^2 is outcome-independent, and may round below it.
-    NaN where F^2 overflows, an F whose F^4 _witness refuses."""
+    NaN where F^2 overflows: fi_estimate_variance and _witness refuse it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.maximum(0.0, (mu4 - f * f) / n)
 
@@ -169,6 +173,9 @@ def _witness(f_hat, f, var):
 def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
     """FiEstimate of each context of one experiment; equal estimates share
     one object, so a long chain holds few."""
+    for name, x in (("FI", f_hat), ("FI variance", var_hat)):
+        if not np.isfinite(x).all():
+            raise EstimationError(f"plug-in {name} overflows")
     keys = list(zip(f_hat.tolist(), var_hat.tolist(), n))
     made = {key: FiEstimate(*key, degenerate=key[2] == 1)
             for key in dict.fromkeys(keys)}
@@ -192,9 +199,13 @@ def analytic_mu4(model: BinaryModel, theta: float) -> float:
 
 
 def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
-    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator."""
+    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator;
+    an F whose F^2 overflows raises ResistanceOverflowError."""
     f, mu4 = model._moments(require_real(theta, "theta"))[2:]
-    return float(_variance(f, mu4, require_integral(n, "n", 1)))
+    var = float(_variance(f, mu4, require_integral(n, "n", 1)))
+    if math.isnan(var):
+        raise ResistanceOverflowError("F^2 overflows")
+    return var
 
 
 def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],

@@ -39,9 +39,6 @@ SPLIT_FI_FLOOR = 1e-12
 # Longest chain accepted; a K = 10**6 chain takes about 0.02 s and 15 MB.
 MAX_CHAIN_K = 10 ** 6
 
-# Bisection levels that gamma_crossing evaluates per array call.
-_TREE_DEPTH = 6
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -196,27 +193,23 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     Scans 64 bracketing points over gamma_range (finite, 0 <= lo < hi) in
     one array evaluation, then bisects the first sign-change bracket [a, b],
     keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide or
-    its midpoint is one of its ends; returns its midpoint.  The bisection is
-    batched: each round evaluates the next six levels of midpoints at once
-    and walks that tree with the scalar bisection's test, so gamma_star is
-    bit-identical to bisecting one midpoint at a time.  A zero segment FI
-    raises only at a point that scalar bisection would evaluate.
+    its midpoint is one of its ends; returns its midpoint.  A zero segment
+    FI raises NonPositiveFiError where the scan or the bisection meets it.
     """
     k = _require_chain(k, t_total, "t_total")
 
-    def excess(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def excess(gammas):
         m = NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=base.epsilon_r, vartheta0=base.vartheta0))
         f_segment, f_end = m.fi(t_total / k), m.fi(t_total)
-        # off the bisection path: a zero segment FI, or F k overflowing
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return f_end * k / f_segment - 1.0, f_segment
+        _require_positive(f_segment=f_segment)
+        with np.errstate(over="ignore"):  # F k past the largest float is inf
+            return f_end * k / f_segment - 1.0
 
     lo = require_real(gamma_range[0], "gamma_range[0]", 0)
     hi = require_real(gamma_range[1], "gamma_range[1]", lo, bounds="(]")
     grid = np.linspace(lo, hi, 64)
-    vals, f_segment = excess(grid)
-    _require_positive(f_segment=f_segment)
+    vals = excess(grid)
     if vals[0] <= 0.0:
         raise NoCrossingError("Gamma_K does not start above 1 at gamma = "
                               f"{lo}")
@@ -227,23 +220,8 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     i = int(sign_change[0])
     a, b = float(grid[i]), float(grid[i + 1])
     while b - a > 1e-8 and a < 0.5 * (a + b) < b:
-        # the next levels of midpoints, each the midpoint of its two sorted
-        # neighbours, as bisection computes them; walking the levels is a
-        # binary search over the sorted edges
-        edges = np.array([a, b])
-        for _ in range(_TREE_DEPTH):
-            finer = np.empty(2 * edges.size - 1)
-            finer[::2], finer[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
-            edges = finer
-        vals, f_segment = excess(edges)
-        lo_j, hi_j = 0, edges.size - 1
-        while b - a > 1e-8 and hi_j - lo_j > 1:
-            j = (lo_j + hi_j) // 2
-            _require_positive(f_segment=float(f_segment[j]))
-            if vals[j] > 0.0:
-                a, lo_j = float(edges[j]), j
-            else:
-                b, hi_j = float(edges[j]), j
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
     return 0.5 * (a + b)
 
 

@@ -2,6 +2,7 @@
 experiments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ class TestAnalyticMoments:
         # z = -1 at theta = vartheta + pi, so outcome 0 is impossible there
         with pytest.raises(DegenerateModelError):
             analytic_mu4(equator, 0.3 + math.pi)
+
+    def test_variance_refuses_an_f_whose_square_overflows(self):
+        huge = NoisyFringeModel(NoisyFringeParams(1e150, 0.02))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analytic_mu4(huge, 1e-150) == math.inf
+            with pytest.raises(ResistanceOverflowError,
+                               match=r"^F\^2 overflows$"):
+                fi_estimate_variance(huge, 1e-150, 10)
 
 
 class TestCertifyVk:
@@ -446,6 +456,26 @@ class TestCertifyCore:
             _witness(f, f, np.ones_like(f))
         v, se, z = _witness(f[0], f[0], np.ones(3))
         assert se == math.sqrt(1.0 + 1.0 / 16.0 + 1.0 / 81.0)
+
+    def test_squared_scores_past_the_largest_float_are_refused(self):
+        huge = NoisyFringeModel(NoisyFringeParams(1e300, 0.02))
+        endpoint = ContextSample(theta=1e-300, n=100, n0=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveFiError,
+                               match=r"^f_end must be finite, got inf$"):
+                certify_vk(endpoint, [ContextSample(5e-301, 100, 40)], huge)
+            with pytest.raises(EstimationError,
+                               match=r"^plug-in FI overflows$"):
+                plugin_fi(endpoint, huge)
+            with pytest.raises(EstimationError,
+                               match=r"^plug-in FI overflows$"):
+                classifier_fi(NOISY, 1.0, delta=1e-300, seed=1)
+            # squares near 1e199 are finite; the square of their gap is not
+            with pytest.raises(EstimationError,
+                               match=r"^plug-in FI variance overflows$"):
+                plugin_fi(ContextSample(theta=1e-100, n=10, n0=5),
+                          NoisyFringeModel(NoisyFringeParams(1e100, 0.02)))
 
     def test_mc_vk_distribution_is_unchanged(self):
         cases = [

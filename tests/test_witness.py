@@ -377,7 +377,7 @@ def reference_crossing(base, t_total, k, gamma_range=(0.0, 2.0),
             f"Gamma_K stays above 1 on [{lo}, {hi}]; no crossing")
     i = int(sign_change[0])
     a, b = float(grid[i]), float(grid[i + 1])
-    while b - a > 1e-8:
+    while b - a > 1e-8 and a < 0.5 * (a + b) < b:
         mid = 0.5 * (a + b)
         a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
     return 0.5 * (a + b)
@@ -413,6 +413,19 @@ class TestGammaCrossing:
             args = (base, t_total, k, gamma_range)
             assert (_outcome(gamma_crossing, *args)
                     == _outcome(reference_crossing, *args))
+
+    @pytest.mark.parametrize("t_total, gamma_range, gamma_star_k4", [
+        (1e-30, (0.0, 1e30), 3.4160607106916724e+29),
+        (1e-100, (0.0, 1e100), 3.416060710691672e+99)])
+    def test_bit_identical_where_the_bracket_runs_out_of_floats(
+            self, t_total, gamma_range, gamma_star_k4):
+        # float spacing near gamma_star is far above 1e-8: bisection ends
+        # when the midpoint is one of the bracket's ends
+        base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02)
+        for k in (2, 4, 7):
+            args = (base, t_total, k, gamma_range)
+            assert gamma_crossing(*args) == reference_crossing(*args)
+        assert gamma_crossing(base, t_total, 4, gamma_range) == gamma_star_k4
 
     def test_zero_segment_fi_raises_only_where_scalar_bisection_does(
             self, monkeypatch):
