@@ -146,9 +146,7 @@ def _backward(ctx) -> np.ndarray:
     """Reverse-mode gradient of the batched objective, shape (B, n_par)."""
     (alpha, ra, beta, rb, g_rows, f_ac, f_cb, up, down, wv, q, inv_res,
      harmonic_res, ok) = ctx
-    b, l, m = beta.shape
-    if not ok.any():  # e.g. every row on the blind m = 2 endpoint
-        return np.zeros((b, 2 * l + 2 * l * m))
+    b = beta.shape[0]
     # Gamma = harmonic_res / resistance and dresistance/dF_B = -q q^T, so
     # with s = harmonic_res / resistance^2 and z = q . v / p the endpoint
     # terms are dGamma/d(v1, v2) = 2 s q z and dGamma/dp = -s z^2

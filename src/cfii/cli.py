@@ -18,14 +18,14 @@ effective config, seed, wall clock); JSON output is {"meta": ..., "columns":
 via --config to reproduce the run.  Each column has one type: integers print
 as integers, floats with 17 significant digits, and a non-finite float as
 inf/-inf in CSV and null in JSON; an exit-0 table never holds NaN.
-Configuration precedence is CLI flags > config file > defaults.  Every flag
-is checked against its kind in _SPECS when given, whether or not the command
-or its model uses it, so the config echo is always strict JSON.  Exit codes:
-0 success, 2 configuration error (including an unknown or malformed flag),
-3 numerical degeneracy; codes 2 and 3 print one line on stderr.  An --out
-file that cannot be written is a configuration error.  run() is the entry of
-a one-shot process (the cfii script and python -m cfii.cli); main() is the
-same driver for a caller that keeps running.
+Configuration precedence is CLI flags > config file > defaults.  A flag is
+spelled exactly as _SPECS names it and checked against its kind there when
+given, whether or not the command or its model uses it, so the config echo is
+always strict JSON.  main() alone maps an exception to an exit code: a
+CfiiError to 3 (numerical degeneracy), then any other ValueError (an
+unwritable --out file too) to 2 (configuration error), each with one line on
+stderr.  run() is the one-shot entry (the cfii script and python -m cfii.cli);
+main() is the same driver for a caller that keeps running.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ WALLCLOCK_KEY = "wallclock"
 MAX_ROWS = 10 ** 6
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid command-line flags or config-file contents (exit code 2)."""
 
 
@@ -208,10 +208,6 @@ _SPECS: dict[str, dict[str, tuple[object, object]]] = {
     }.items()
 }
 
-# commands that always draw samples and therefore require a seed;
-# certify enforces it only in single-point mode
-_STOCHASTIC = {"adversary", "rmse"}
-
 
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError where argparse would print usage and exit, and
@@ -234,10 +230,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     """Every flag collects its string; _coerce converts it."""
-    parser = _Parser(prog="cfii", description=__doc__)
+    parser = _Parser(prog="cfii", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _SPECS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
         for key, (kind, _default) in spec.items():
@@ -251,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -290,7 +286,7 @@ def _coerce(key: str, kind, default, value):
         raise ConfigError(str(exc)) from exc
 
 
-def build_config(argv: list[str]) -> ExperimentConfig:
+def build_config(argv: list[str] | None) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     spec = _SPECS[ns.command]
     merged = {key: default for key, (_kind, default) in spec.items()}
@@ -301,10 +297,14 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     params = {key: _coerce(key, *spec[key], value)
               for key, value in merged.items()}
     seed, fmt = params.pop("seed"), params.pop("format")
-    if ns.command in _STOCHASTIC and seed is None:
-        raise ConfigError(f"{ns.command} is stochastic: --seed is required")
     return ExperimentConfig(command=ns.command, params=params, seed=seed,
                             out=ns.out, fmt=fmt)
+
+
+def _seed(config: ExperimentConfig, run: str) -> int:
+    if config.seed is None:
+        raise ConfigError(f"{run} is stochastic: --seed is required")
+    return config.seed
 
 
 def _parse_grid(spec: str, name: str, bounds: tuple = ()) -> np.ndarray:
@@ -397,10 +397,7 @@ def cmd_certify(config: ExperimentConfig) -> ResultTable:
     params = config.params
     if params["gamma_grid"] or params["shots_grid"]:
         return _certify_sweep(params)
-    if config.seed is None:
-        raise ConfigError("single-point certify is stochastic: "
-                          "--seed is required")
-    return _certify_point(params, config.seed)
+    return _certify_point(config)
 
 
 def _quantities(values: dict[str, float]) -> ResultTable:
@@ -409,9 +406,10 @@ def _quantities(values: dict[str, float]) -> ResultTable:
                         "value": list(values.values())})
 
 
-def _certify_point(params: dict, seed: int) -> ResultTable:
+def _certify_point(config: ExperimentConfig) -> ResultTable:
     from .estimate import _sample_contexts, analytic_certification, certify_vk
 
+    params, seed = config.params, _seed(config, "single-point certify")
     k, t_total, n = params["k"], params["t_total"], params["shots"]
     model = _noisy(params, params["gamma"])
     # first, so that bad t_total, k or shots stop the run before any sampling
@@ -459,7 +457,7 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
     result = optimize_restarts(params["l"], params["m"],
                                n_restarts=params["restarts"],
                                steps=params["steps"], lr=params["lr"],
-                               seed=config.seed)
+                               seed=_seed(config, "adversary"))
     gammas = np.asarray(result.restart_gammas)
     meta = {f"summary_{stat}": "%.17g" % getattr(gammas, stat)()
             for stat in ("max", "mean", "min")}
@@ -470,7 +468,7 @@ def cmd_adversary(config: ExperimentConfig) -> ResultTable:
 def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     from .estimate import mc_rmse
 
-    params = config.params
+    params, seed = config.params, _seed(config, "rmse")
     model = _model_from(params)
     theta = params["theta"]
     f = model.fi(theta)
@@ -485,7 +483,7 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
             f" = ({vartheta!r}, {vartheta + math.pi!r}), got {theta!r}")
     n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
     # mc_rmse first: it refuses any fringe but cos, whose F n may overflow
-    rmse = [mc_rmse(model, theta, n, params["reps"], config.seed, i,
+    rmse = [mc_rmse(model, theta, n, params["reps"], seed, i,
                     vartheta=vartheta) for i, n in enumerate(n_values.tolist())]
     crb = 1.0 / np.sqrt(n_values * f)
     return ResultTable({"n": n_values, "rmse": rmse, "crb": crb,
@@ -553,12 +551,7 @@ _COMMANDS = {
 
 def execute(config: ExperimentConfig) -> ResultTable:
     """Run the configured command and attach the metadata block."""
-    try:
-        table = _COMMANDS[config.command](config)
-    except CfiiError:
-        raise
-    except ValueError as exc:  # a parameter outside the library's domain
-        raise ConfigError(str(exc)) from exc
+    table = _COMMANDS[config.command](config)
     if any(np.isnan(col).any() for col in table.columns.values()
            if col.dtype.kind == "f"):
         raise CfiiError("undefined (NaN) result cells")
@@ -577,7 +570,6 @@ def execute(config: ExperimentConfig) -> ResultTable:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         config = build_config(argv)
         table = execute(config)
@@ -591,12 +583,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except ConfigError as exc:
-        print(f"cfii: config error: {exc}", file=sys.stderr)
-        return 2
     except CfiiError as exc:
         print(f"cfii: numerical degeneracy: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"cfii: config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

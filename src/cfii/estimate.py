@@ -118,8 +118,8 @@ def _plugin(n, n0, scores):
     _require_scores(scores)
     n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
     n1 = n - n0
-    # a square past the largest float is inf (or NaN, times a count of 0),
-    # as in models.py; _estimates and v_chain refuse it
+    # a square past the largest float is inf, as in models.py; _estimates
+    # and v_chain refuse it.  An outcome never seen adds 0, not 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
         sq0, sq1 = (s * s for s in scores)
         # two-valued data: the sum of squared deviations is n0 n1 (sq0 -
@@ -127,9 +127,11 @@ def _plugin(n, n0, scores):
         # score.  n^2 (n - 1) rounds in float64 like the exact integer while
         # n < 9e7 (and overflows int64); one shot gives 0
         gap = sq0 - sq1
-        return ((n0 * sq0 + n1 * sq1) / n,
-                n0 * n1 * gap * gap / np.where(n > 1.0, n * n * (n - 1.0),
-                                               1.0))
+        both = n0 * n1
+        return ((np.where(n0 > 0.0, n0 * sq0, 0.0)
+                 + np.where(n1 > 0.0, n1 * sq1, 0.0)) / n,
+                np.where(both > 0.0, both * gap * gap, 0.0)
+                / np.where(n > 1.0, n * n * (n - 1.0), 1.0))
 
 
 def _require_scores(scores) -> None:

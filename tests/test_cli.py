@@ -133,10 +133,42 @@ class TestConfig:
             2, "", "cfii: config error: grid must be a string, got 5\n")
 
     def test_stochastic_commands_require_seed(self, capsys):
-        for argv in (["rmse"], ["adversary"], ["certify"]):
-            code, _, err = run_cli(capsys, argv)
-            assert code == 2
-            assert "--seed is required" in err
+        # the seed is checked before any other refusal of the run
+        for argv, run in ((["rmse", "--theta", "0"], "rmse"),
+                          (["adversary", "--l", "0"], "adversary"),
+                          (["certify", "--k", "1"], "single-point certify")):
+            assert run_cli(capsys, argv) == (
+                2, "", f"cfii: config error: {run} is stochastic: "
+                "--seed is required\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fi", "--gam", "0.3"], ["fi", "--gam", "-1e-3"],
+        ["certify", "--shot", "5", "--seed", "1"]])
+    def test_a_flag_is_spelled_in_full(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("cfii: config error: unrecognized arguments: ")
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"gamma": 0.3}', b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "deep"])
+    def test_unreadable_config_content_names_the_file(self, capsys, tmp_path,
+                                                      content):
+        # not UTF-8, and nested past the decoder's recursion limit
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["fi", "--config", str(path)])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"cfii: config error: cannot read config file "
+                              f"{path}: ")
+
+    def test_a_value_error_anywhere_is_a_config_error(self, capsys):
+        # raised outside the commands: by the --out write and the config read
+        assert run_cli(capsys, ["fi", "--grid", "0.1:1:2", "--out", "a\0b"]) \
+            == (2, "", "cfii: config error: embedded null byte\n")
+        code, out, err = run_cli(capsys, ["fi", "--config", "a\0b"])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.endswith(": embedded null byte\n")
 
     def test_argparse_rejects_unknown_command(self, capsys):
         for argv in (["frobnicate"], ["fi", "--bogus", "1"], []):

@@ -477,6 +477,19 @@ class TestCertifyCore:
                 plugin_fi(ContextSample(theta=1e-100, n=10, n0=5),
                           NoisyFringeModel(NoisyFringeParams(1e100, 0.02)))
 
+    def test_an_unseen_outcome_adds_nothing(self):
+        # its squared score overflows; a count of 0 times it is 0, not NaN
+        huge = NoisyFringeModel(NoisyFringeParams(1e300, 0.02))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveFiError,
+                               match=r"^f_end must be finite, got inf$"):
+                certify_vk(ContextSample(1e-300, 100, 0),
+                           [ContextSample(5e-301, 100, 40)], huge)
+            scores = np.array([[1e200, 1.0], [2.0, 1e200]])
+            f_hat, var_hat = _plugin([3, 3], [0, 3], scores)
+        assert f_hat.tolist() == [4.0, 1.0] and var_hat.tolist() == [0.0, 0.0]
+
     def test_mc_vk_distribution_is_unchanged(self):
         cases = [
             ((GOLDEN, T, 4, 1000, 500, 17),
