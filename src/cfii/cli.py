@@ -38,6 +38,7 @@ if __name__ == "__main__":
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -127,16 +128,35 @@ def _fmt_meta(value) -> str:
 
 
 def _cells(col: np.ndarray, csv: bool) -> list[str]:
-    """One column's cells as text: floats as %.17g in CSV and as JSON
-    numbers, or null when not finite, in JSON; any other dtype as the str
-    (CSV) or the JSON encoding of its Python value."""
-    values = col.tolist()
-    if col.dtype.kind == "f":
-        if csv:
-            return ["%.17g" % v for v in values]
+    """One column's cells as text: floats (as float64) as %.17g in CSV and
+    as JSON numbers, or null when not finite, in JSON; any other dtype as
+    the str (CSV) or the JSON encoding of its Python value.
+
+    A grid product repeats each key on many rows, so each distinct float is
+    formatted once and its cells share the text.  Floats are told apart by
+    their bits (-0.0 from 0.0, one NaN payload from another).  When sorting
+    the bits finds no repeat, the cells are formatted in order.
+    """
+    if col.dtype.kind != "f":
+        return list(map(str if csv else json.dumps, col.tolist()))
+    col = col.astype(np.float64, copy=False)
+    bits = col.view(np.int64)
+    runs = np.sort(bits)
+    starts = np.empty(runs.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(runs[1:], runs[:-1], out=starts[1:])
+    repeats = not starts.all()
+    values = (runs[starts].view(np.float64) if repeats else col).tolist()
+    if csv:
+        texts = ["%.17g" % v for v in values]
+    else:
         # json encodes a finite float as its repr
-        return [repr(v) if math.isfinite(v) else "null" for v in values]
-    return list(map(str if csv else json.dumps, values))
+        texts = [repr(v) if math.isfinite(v) else "null" for v in values]
+    if not repeats:
+        return texts
+    run = np.empty(bits.size, dtype=np.intp)
+    run[np.argsort(bits)] = np.cumsum(starts) - 1
+    return np.array(texts, dtype=object)[run].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +248,10 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(bound, namespace)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Every flag collects its string; _coerce converts it."""
+    """Every flag collects its string; _coerce converts it.  Built once per
+    process: parsing leaves a parser as it was."""
     parser = _Parser(prog="cfii", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _SPECS.items():
@@ -318,7 +340,8 @@ def _parse_int_grid(spec: str, name: str, space=np.linspace) -> np.ndarray:
     a, b, n = _split_grid(spec, name, (-2.0 ** 63, 2.0 ** 63, "[)"))
     if space is np.geomspace and (a < 1 or b < a):
         raise ConfigError(f"{name} needs 1 <= A <= B")
-    return np.unique(np.rint(space(a, b, n)).astype(np.int64))
+    points = np.sort(np.rint(space(a, b, n)).astype(np.int64))
+    return points[np.r_[True, points[1:] != points[:-1]]]
 
 
 def _split_grid(spec: str, name: str, bounds: tuple = ()) -> tuple[float, float, int]:
@@ -584,11 +607,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         return 0
     except CfiiError as exc:
-        print(f"cfii: numerical degeneracy: {exc}", file=sys.stderr)
-        return 3
+        code, kind, message = 3, "numerical degeneracy", str(exc)
     except ValueError as exc:
-        print(f"cfii: config error: {exc}", file=sys.stderr)
-        return 2
+        code, kind, message = 2, "config error", str(exc)
+    # one line, whatever the message echoes: a newline or NUL of an argument
+    # is printed as its escape
+    print(f"cfii: {kind}: " + "".join(c if c.isprintable() else repr(c)[1:-1]
+                                      for c in message), file=sys.stderr)
+    return code
 
 
 def run() -> None:

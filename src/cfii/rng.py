@@ -32,11 +32,10 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     path element must be integral values >= 0: 3, np.int64(3) and 3.0 name
     the same stream, and 1.5 is refused rather than truncated.
     """
-    ss = np.random.SeedSequence(
+    # Philox keys itself with the sequence's generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
         entropy=require_integral(seed, "seed"),
-        spawn_key=tuple(require_integral(p, "path element") for p in path))
-    key = ss.generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        spawn_key=tuple(require_integral(p, "path element") for p in path))))
 
 
 def require_integral(value, name: str, lo: int = 0,

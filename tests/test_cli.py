@@ -56,12 +56,36 @@ def drop_meta(text):
                    if not line.startswith("# "))
 
 
+def reference_cells(col, csv):
+    """A column's cells each formatted on its own: the rule that _cells
+    keeps while it formats each distinct float once."""
+    col = np.asarray(col)
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        if csv:
+            return ["%.17g" % v for v in values]
+        return [repr(v) if math.isfinite(v) else "null" for v in values]
+    return list(map(str if csv else json.dumps, values))
+
+
 def column(columns, rows, name, cast=float):
     i = columns.index(name)
     return [cast(row[i]) for row in rows]
 
 
 class TestConfig:
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run_cli(capsys, ["fi"])
+        assert run_cli(capsys, ["fi", "--bogus"])[0] == 2
+        again = run_cli(capsys, ["fi"])
+        assert cli._build_parser() is cli._build_parser()
+        assert (first[0], first[2]) == (again[0], again[2]) == (0, "")
+        assert drop_wallclock(first[1]) == drop_wallclock(again[1])
+        with pytest.raises(SystemExit) as exit_:
+            main(["fi", "--help"])
+        assert exit_.value.code == 0 and "--grid" in capsys.readouterr().out
+
     def test_defaults(self):
         config = build_config(["fi"])
         assert config.command == "fi"
@@ -964,6 +988,20 @@ class TestFlagRule:
                 assert self.refusal(capsys, self.config_argv(
                     tmp_path, command, key, value)) == expected.format(value)
 
+    @pytest.mark.parametrize("argv, echo", [
+        (["fi", "--bo\ngus"], r"--bo\ngus"),
+        (["fi", "x\ny"], r"x\ny"),
+        (["fi", "--config", "a\nb"], r"a\nb"),
+        (["fi", "--config", "a\0b"], r"a\x00b"),
+        # printable non-ASCII text is kept, a zero-width space is not
+        (["fi", "--config", "\u00e9\u200b"], "\u00e9" + r"\u200b"),
+    ])
+    def test_control_characters_print_escaped(self, capsys, argv, echo):
+        """An echoed argument cannot split the one stderr line or put a
+        control byte on it."""
+        err = self.refusal(capsys, argv)
+        assert err[:-1].isprintable() and echo in err
+
     def test_json_boolean_is_not_a_number(self, capsys, tmp_path):
         for command, spec in _SPECS.items():
             for key, (kind, _) in spec.items():
@@ -1100,6 +1138,46 @@ class TestOutputPlumbing:
             doc = {"meta": table.meta, "columns": list(table.columns),
                    "rows": rows}
             assert table.render_json() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("col", [
+        np.random.default_rng(1).permutation(np.repeat(
+            np.linspace(-1.0, 1.0, 7), 50)),
+        np.random.default_rng(2).random(300),
+        np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0]),
+        np.array([math.inf, -math.inf, math.nan, 1.0, -math.inf, math.inf,
+                  math.nan, 1.0]),
+        np.array([5e-324, 0.1, 1e308, 0.1, 5e-324]),
+        np.array([0.25]),
+        np.array([]),
+        np.repeat(np.linspace(0.0, 1.0, 9), 4)[1::3],
+        np.repeat(np.linspace(0.0, 1.0, 9), 4)[::-2],
+        np.linspace(0.0, 1.0, 11, dtype=np.float32).repeat(3),
+        np.arange(-3, 4).repeat(2),
+        np.array([], dtype=np.int64),
+    ], ids=["repeats", "distinct", "signed-zeros", "non-finite", "extremes",
+            "one-cell", "no-cells", "strided", "reversed", "float32", "ints",
+            "no-ints"])
+    def test_cells_equal_per_cell_formatting(self, col):
+        before = col.copy()
+        for csv in (True, False):
+            assert cli._cells(col, csv) == reference_cells(col, csv)
+        np.testing.assert_array_equal(col, before)
+
+    def test_cells_tell_floats_apart_by_their_bits(self):
+        zeros = np.array([-0.0, 0.0, -0.0, 0.0])
+        assert cli._cells(zeros, csv=True) == ["-0", "0", "-0", "0"]
+        assert cli._cells(zeros, csv=False) == ["-0.0", "0.0", "-0.0", "0.0"]
+        # two NaN payloads, each repeated, print as one NaN does
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001] * 2,
+                        dtype=np.int64).view(np.float64)
+        assert cli._cells(nans, csv=True) == ["nan"] * 4
+        assert cli._cells(nans, csv=False) == ["null"] * 4
+
+    def test_landscape_renders_as_per_cell_formatting(self, monkeypatch):
+        table = cli.execute(build_config(["landscape", "--grid", "-1:1:41"]))
+        texts = table.render_csv(), table.render_json()
+        monkeypatch.setattr(cli, "_cells", reference_cells)
+        assert texts == (table.render_csv(), table.render_json())
 
     def test_stochastic_runs_are_reproducible(self, capsys):
         argv = ["rmse", "--seed", "7", "--n-grid", "100:200:2",

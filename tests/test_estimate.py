@@ -81,6 +81,21 @@ class TestSampling:
             with pytest.raises(ValueError):
                 derive_rng(seed, *path)
 
+    def test_derive_rng_is_philox_keyed_by_its_seed_sequence(self):
+        """The stream of (seed, *path) is Philox keyed by the first two
+        uint64 words of SeedSequence(seed, spawn_key=path)."""
+        draw = np.random.default_rng(2024)
+        cases = [(0, ()), (2 ** 40, (1, 2 ** 33)), (2 ** 63 - 1, (2 ** 32, 0))]
+        cases += [(int(draw.integers(2 ** 62)),
+                   tuple(draw.integers(0, 2 ** 34, draw.integers(4)).tolist()))
+                  for _ in range(20)]
+        for seed, path in cases:
+            key = np.random.SeedSequence(seed, spawn_key=path).generate_state(
+                2, np.uint64)
+            expected = np.random.Philox(key=key).random_raw(50)
+            np.testing.assert_array_equal(
+                derive_rng(seed, *path).bit_generator.random_raw(50), expected)
+
 
 class TestPluginFi:
     def test_hand_computed_value(self):

@@ -24,13 +24,13 @@ def python(*args, **kwargs):
 
 
 def loaded_after(statement: str) -> set[str]:
-    """numpy and the cfii submodules that a fresh interpreter holds after
-    running `statement` with its stdout discarded."""
+    """numpy, numpy.ma and the cfii submodules that a fresh interpreter
+    holds after running `statement` with its stdout discarded."""
     code = ("import contextlib, io, sys\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    {statement}\n"
             "print(*(m for m in sys.modules\n"
-            "        if m == 'numpy' or m.startswith('cfii.')))")
+            "        if m in ('numpy', 'numpy.ma') or m.startswith('cfii.')))")
     return set(python("-c", code, check=True).stdout.split())
 
 
@@ -59,6 +59,20 @@ class TestLazyLayers:
             "'--restarts', '2', '--steps', '5'])")
         assert "cfii.adversary" in loaded
         assert not loaded & {"cfii.estimate", "cfii.witness"}
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--gamma-grid", "0:0.6:25", "--shots-grid",
+         "100:100000:7"],
+        ["rmse", "--seed", "1"],
+        ["nsit-demo"],
+        ["chain", "--k-grid", "2:9:8"],
+        ["landscape"],
+        ["fi", "--format", "json"],
+    ])
+    def test_no_command_loads_numpy_ma(self, argv):
+        # importing numpy.ma takes about 16 ms, a tenth of a fresh fi call
+        assert "numpy.ma" not in loaded_after(
+            f"from cfii import cli; cli.main({argv!r})")
 
     def test_every_export_is_its_defining_module_attribute(self):
         code = ("import sys, cfii\n"
