@@ -340,6 +340,7 @@ def _parse_int_grid(spec: str, name: str, space=np.linspace) -> np.ndarray:
     a, b, n = _split_grid(spec, name, (-2.0 ** 63, 2.0 ** 63, "[)"))
     if space is np.geomspace and (a < 1 or b < a):
         raise ConfigError(f"{name} needs 1 <= A <= B")
+    # sorted with repeats dropped; numpy's unique() would import numpy.ma
     points = np.sort(np.rint(space(a, b, n)).astype(np.int64))
     return points[np.r_[True, points[1:] != points[:-1]]]
 

@@ -251,7 +251,8 @@ def nsit_separation_demo() -> tuple[bool, float]:
     total = 2.0 * math.pi - 0.05
     witnesses = v_path(model.fi(total), model.fi(splits),
                        model.fi(total - splits))
-    v = float(np.sort(witnesses)[witnesses.size // 2])  # the median of 101
+    # the median of the 101; numpy's median() would import numpy.ma
+    v = float(np.sort(witnesses)[witnesses.size // 2])
     nsit_holds = nsit_holds and bool(np.max(np.abs(witnesses + 1.0)) < 1e-10)
     return nsit_holds, v
 
