@@ -526,7 +526,7 @@ def cmd_chain(config: ExperimentConfig) -> ResultTable:
     model = _noisy(params, gammas)
     # one library call per distinct k, over every rate
     f_end, f_segment, f_benchmark, v_k, gamma_k = np.hstack([
-        (r.f_end, r.f_segments[0], r.f_benchmark, r.v, r.gamma_ratio)
+        (r.f_end, r.f_segments[..., 0], r.f_benchmark, r.v, r.gamma_ratio)
         for r in (k_chain_gain(model, t_total, k) for k in ks.tolist())])
     return ResultTable({
         "k": k_col, "gamma": gamma_col,

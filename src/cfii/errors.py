@@ -21,7 +21,8 @@ class NonPositiveFiError(CfiiError, ValueError):
 
 class ResistanceOverflowError(CfiiError, ValueError):
     """A positive Fisher information whose inverse (an information
-    resistance), a sum of such inverses, F^2, 1/F^4 or F^4 overflows."""
+    resistance), a sum of such inverses, F^2, 1/F^4 or F^4 overflows, or a
+    closed form whose product or sum of finite inputs does."""
 
 
 class NotPositiveDefiniteError(CfiiError, ValueError):

@@ -6,15 +6,20 @@ The effective Fisher information for estimating the linear combination
 u . theta is F_eff = (u^T F^+ u)^(-1), a harmonic-type projection of the
 matrix onto the direction u.  When u has a component outside the row space
 of F the combination is unidentifiable and F_eff = 0 (infinite resistance).
+A closed form whose intermediate product or inverse passes the largest
+float raises ResistanceOverflowError rather than return NaN or a wrong
+number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonStochasticChannelError, NotPositiveDefiniteError
+from .errors import (NonStochasticChannelError, NotPositiveDefiniteError,
+                     ResistanceOverflowError)
 from .models import CategoricalModel, _categorical_fi
 from .rng import require_integral, require_real
 
@@ -50,7 +55,9 @@ def effective_fi(fisher: FisherMatrix | np.ndarray, u: np.ndarray) -> float:
     """Scalar information (u^T F^+ u)^(-1) for the combination u . theta.
 
     Uses an eigendecomposition pseudoinverse with relative cutoff
-    PINV_RCOND; returns 0.0 when u lies outside the row space of F.
+    PINV_RCOND; returns 0.0 when u lies outside the row space of F.  A
+    resistance u^T F^+ u, or its inverse, past the largest float raises
+    ResistanceOverflowError.
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(np.asarray(fisher))
@@ -68,7 +75,11 @@ def effective_fi(fisher: FisherMatrix | np.ndarray, u: np.ndarray) -> float:
     coords = vecs.T @ u
     if np.linalg.norm(coords[~live]) > ROWSPACE_TOL * norm_u:
         return 0.0
-    resistance = float(np.sum(coords[live] ** 2 / w[live]))
+    with np.errstate(over="ignore"):
+        resistance = float((coords[live] ** 2 / w[live]).sum())
+    if not 0.0 < resistance < math.inf:
+        raise ResistanceOverflowError("u^T F^+ u overflows" if resistance
+                                      else "1/(u^T F^+ u) overflows")
     return 1.0 / resistance
 
 
@@ -78,7 +89,10 @@ def synergy_effective_fi(f1: float, f2: float, j: float) -> float:
     if not (0.0 < f1 < np.inf and 0.0 < f2 < np.inf and f1 * f2 - j * j > 0.0):
         raise NotPositiveDefiniteError(
             f"(f1={f1}, f2={f2}, j={j}) is not positive definite")
-    return (f1 * f2 - j * j) / (f1 + f2 - 2.0 * j)
+    f_eff = (f1 * f2 - j * j) / (f1 + f2 - 2.0 * j)
+    if not f_eff < math.inf:  # inf / inf is NaN
+        raise ResistanceOverflowError("f1 f2 - j^2 overflows")
+    return f_eff
 
 
 def synergy_window(f1: float, f2: float) -> tuple[float, float]:
@@ -86,7 +100,10 @@ def synergy_window(f1: float, f2: float) -> tuple[float, float]:
     uncoupled harmonic benchmark: (0, 2 f1 f2 / (f1 + f2))."""
     if not (0.0 < f1 < np.inf and 0.0 < f2 < np.inf):
         raise NotPositiveDefiniteError("marginal informations must be positive")
-    return 0.0, 2.0 * f1 * f2 / (f1 + f2)
+    hi = 2.0 * f1 * f2 / (f1 + f2)
+    if not hi < math.inf:  # inf / inf is NaN
+        raise ResistanceOverflowError("2 f1 f2 overflows")
+    return 0.0, hi
 
 
 def equicorrelated_effective_fi(f: float, eps: float, k: int) -> float:

@@ -253,11 +253,12 @@ def _categorical_fi(p, pdot, what: str) -> float:
     """categorical_fi of the distribution p with derivative pdot, which an
     irregularity error calls `what`."""
     dead = p == 0.0
-    if np.any(dead & (pdot != 0.0)):
+    if (dead & (pdot != 0.0)).any():
         raise DegenerateModelError(
             f"irregular {what}: zero probability with nonzero derivative")
     live = ~dead
-    return float(np.sum(pdot[live] ** 2 / p[live]))
+    with np.errstate(over="ignore"):  # an FI past the largest float is inf
+        return float((pdot[live] ** 2 / p[live]).sum())
 
 
 def categorical_product(m1: CategoricalModel, m2: CategoricalModel) -> CategoricalModel:

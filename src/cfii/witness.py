@@ -36,25 +36,35 @@ from .rng import require_integral, require_real
 # Segment FIs below this are treated as dead when maximizing over splits.
 SPLIT_FI_FLOOR = 1e-12
 
-# Longest chain accepted; a K = 10**6 chain takes about 0.02 s and 15 MB.
+# Longest chain accepted; a K = 10**6 chain takes about 0.3 ms per rate and
+# allocates no K-long array, its segments being a view of one FI per rate.
 MAX_CHAIN_K = 10 ** 6
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Witness value and the quantities it was built from."""
+    """Witness value and the quantities it was built from.
 
-    v: float
-    f_end: float
-    f_benchmark: float
-    gamma_ratio: float
-    g_indicator: float
-    f_segments: tuple[float, ...]
-    segments: tuple[float, ...]
+    A one-rate report holds floats; a report over an array of rates holds
+    one column per quantity, of the rates' shape.  The K segments lie on
+    the last axis, as everywhere in the library: f_segments is a read-only
+    float64 array of shape (*rates, K) and segments the (K,) segment
+    angles, both views of the distinct values evaluated, so that
+    v_chain(f_end, f_segments) == v.  A report that holds arrays supports
+    neither == nor hash; compare its fields.
+    """
+
+    v: float | np.ndarray
+    f_end: float | np.ndarray
+    f_benchmark: float | np.ndarray
+    gamma_ratio: float | np.ndarray
+    g_indicator: float | np.ndarray
+    f_segments: np.ndarray
+    segments: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.f_segments)
+        return len(self.segments)
 
 
 def v_path(f_ab, f_ac, f_cb):
@@ -93,10 +103,13 @@ def improvement_factor(v: float, r_cl: float) -> float:
     v = require_real(v, "v")
     if not 0.0 < r_cl < math.inf:  # an infinite resistance is a zero FI
         raise NonPositiveFiError(f"classical resistance must be > 0, got {r_cl}")
-    if r_cl + v <= 0.0:
+    r = r_cl + v
+    if r <= 0.0:
         raise DegenerateBenchmarkError(
-            f"achieved resistance r_cl + v = {r_cl + v} is not positive")
-    return r_cl / (r_cl + v)
+            f"achieved resistance r_cl + v = {r} is not positive")
+    if r == math.inf:
+        raise ResistanceOverflowError("r_cl + v overflows")
+    return r_cl / r
 
 
 def split_optimized_benchmark(model: BinaryModel,
@@ -154,16 +167,16 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     shape = np.shape(f_end)
 
     if partition == "equal":
-        angles, counts = [theta_total / k], [k]
+        angles = [theta_total / k]
     elif partition == "optimized":
         if k != 2 or shape:
             raise ValueError("optimized partitions need k=2 and one rate")
         _, lam = split_optimized_benchmark(model, theta_total)
-        angles, counts = [lam * theta_total, (1.0 - lam) * theta_total], [1, 1]
+        angles = [lam * theta_total, (1.0 - lam) * theta_total]
     else:
         raise ValueError(f"unknown partition {partition!r}")
 
-    # one evaluation per angle of the partition: (*rates, angles)
+    # one evaluation per distinct angle, (*rates, P); the K segments view it
     f_parts = np.stack([model.fi(theta) for theta in angles], axis=-1)
 
     def series(r_end, r_parts):  # a view of K inverses sums as K copies
@@ -172,16 +185,16 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
 
     v, r_segments = _series(series, f_end=f_end, f_segment_=f_parts)
     # a scalar rate gets the Python floats of a one-rate report
-    f_end, f_benchmark, *f_parts = (col if shape else float(col) for col in (
-        f_end, 1.0 / r_segments, *np.moveaxis(f_parts, -1, 0)))
+    f_end, f_benchmark = (col if shape else float(col)
+                          for col in (f_end, 1.0 / r_segments))
     return WitnessReport(
         v=v[()],
         f_end=f_end,
         f_benchmark=f_benchmark,
         gamma_ratio=f_end / f_benchmark,
         g_indicator=gain_indicator(f_end, f_benchmark),
-        f_segments=sum(((f,) * c for f, c in zip(f_parts, counts)), ()),
-        segments=sum(((a,) * c for a, c in zip(angles, counts)), ()),
+        f_segments=np.broadcast_to(f_parts, (*shape, k)),
+        segments=np.broadcast_to(angles, (k,)),
     )
 
 

@@ -1,16 +1,21 @@
 """Tests for Fisher-matrix algebra: effective FI, synergy, equicorrelated
 chains, and coarse-graining."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfii.errors import (NonStochasticChannelError, NotPositiveDefiniteError)
+from cfii.errors import (NonStochasticChannelError, NotPositiveDefiniteError,
+                         ResistanceOverflowError)
 from cfii.fim import (FisherMatrix, coarse_grain_fi, effective_fi,
                       equicorrelated_effective_fi, equicorrelated_matrix,
                       synergy_effective_fi, synergy_window)
-from cfii.models import CategoricalModel
+from cfii.models import CategoricalModel, categorical_fi
+from cfii.witness import improvement_factor
 
 ONES2 = np.ones(2)
 
@@ -227,3 +232,35 @@ class TestCoarseGraining:
         from cfii.models import categorical_fi
         assert (coarse_grain_fi(model, channel)
                 <= categorical_fi(model) + 1e-10)
+
+
+class TestExtremeFiniteInputs:
+    """Finite inputs whose intermediate products or inverses pass the
+    largest float: a closed form refuses instead of returning NaN or a
+    wrong number, and an FI past the largest float is inf, with no
+    RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: synergy_effective_fi(1e308, 1e308, 0.0),
+         r"^f1 f2 - j\^2 overflows$"),
+        (lambda: synergy_window(1e308, 1e308), r"^2 f1 f2 overflows$"),
+        (lambda: improvement_factor(1e308, 1e308), r"^r_cl \+ v overflows$"),
+        # 5e-321 is the true F_eff, not the 0.0 of a lost direction
+        (lambda: effective_fi(np.eye(2) * 1e-320, ONES2),
+         r"^u\^T F\^\+ u overflows$"),
+        (lambda: effective_fi(np.eye(2) * 1e300, [1e-150, 0.0]),
+         r"^1/\(u\^T F\^\+ u\) overflows$"),
+    ], ids=["synergy_effective_fi", "synergy_window", "improvement_factor",
+            "effective_fi-subnormal", "effective_fi-huge"])
+    def test_overflow_refused(self, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResistanceOverflowError, match=match):
+                call()
+
+    def test_fi_past_the_largest_float_is_inf(self):
+        model = CategoricalModel([1e-320, 1 - 1e-320], [1e-5, -1e-5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert categorical_fi(model) == math.inf
+            assert coarse_grain_fi(model, np.eye(2)) == math.inf

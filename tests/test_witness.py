@@ -1,5 +1,6 @@
 """Tests for path witnesses, benchmarks, chain gains, and the crossing."""
 
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,12 @@ GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 T = math.pi / 2
 IDEAL_MODEL = QubitFringeModel(QubitPreparation(vartheta=0.0,
                                                 varphi=math.pi / 2))
+
+
+def assert_same_report(a, b):
+    """Field by field, as a report over arrays supports no ==."""
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 class TestVPath:
@@ -237,8 +244,8 @@ class TestSplitOptimizedBenchmark:
                 k_chain_gain(IDEAL_MODEL, T, k)
             with pytest.raises(ValueError):
                 gamma_crossing(GOLDEN, T, k)
-        assert k_chain_gain(IDEAL_MODEL, T, 4.0) == k_chain_gain(IDEAL_MODEL,
-                                                                 T, 4)
+        assert_same_report(k_chain_gain(IDEAL_MODEL, T, 4.0),
+                           k_chain_gain(IDEAL_MODEL, T, 4))
         assert gamma_crossing(GOLDEN, T, 4.0) == gamma_crossing(GOLDEN, T, 4)
 
 
@@ -276,6 +283,10 @@ class TestKChainGain:
         optimized = k_chain_gain(model, 2 * math.pi, 2, partition="optimized")
         assert optimized.f_benchmark >= equal.f_benchmark - 1e-12
         assert optimized.segments[0] != optimized.segments[1]
+        # one FI per angle, as the layout of v_chain
+        assert optimized.f_segments.tolist() == [
+            model.fi(a) for a in optimized.segments.tolist()]
+        assert v_chain(optimized.f_end, optimized.f_segments) == optimized.v
 
     def test_partition_validation(self):
         model = NoisyFringeModel(GOLDEN)
@@ -293,8 +304,9 @@ class TestKChainGain:
         report = k_chain_gain(NoisyFringeModel(GOLDEN), T, 4)
         assert type(report.v) is type(report.g_indicator) is np.float64
         assert all(type(x) is float for x in (
-            report.f_end, report.f_benchmark, report.gamma_ratio,
-            *report.f_segments, *report.segments))
+            report.f_end, report.f_benchmark, report.gamma_ratio))
+        for x in (report.f_segments, report.segments):
+            assert (type(x), x.dtype, x.shape) == (np.ndarray, np.float64, (4,))
 
     @pytest.mark.parametrize("k", [2, 7, 64, 1000, 4099])
     def test_rate_columns_equal_one_rate_reports(self, k):
@@ -303,7 +315,8 @@ class TestKChainGain:
         eps_r, t_total = rng.uniform(0.0, 0.3), rng.uniform(0.2, 1.5)
         report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=eps_r)), t_total, k)
-        assert report.k == k and len(report.segments) == k
+        assert report.k == k and report.segments.shape == (k,)
+        assert report.f_segments.shape == (gammas.size, k)
         for i, gamma in enumerate(gammas.tolist()):
             one = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
                 gamma=gamma, epsilon_r=eps_r)), t_total, k)
@@ -311,8 +324,8 @@ class TestKChainGain:
                     report.gamma_ratio[i], report.g_indicator[i]) == (
                 one.v, one.f_end, one.f_benchmark, one.gamma_ratio,
                 one.g_indicator)
-            assert [f[i] for f in report.f_segments] == list(one.f_segments)
-            assert report.segments == one.segments
+            assert np.array_equal(report.f_segments[i], one.f_segments)
+            assert np.array_equal(report.segments, one.segments)
 
     def test_rate_table_sums_like_one_rate(self):
         # the K inverses of all 29 rates are summed over one broadcast view:
@@ -335,8 +348,22 @@ class TestKChainGain:
         for i, j in np.ndindex(gammas.shape):
             one = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
                 float(gammas[i, j]))), 1.0, 4)
-            assert (report.v[i, j], report.f_segments[0][i, j]) == (
-                one.v, one.f_segments[0])
+            assert report.v[i, j] == one.v
+            assert np.array_equal(report.f_segments[i, j], one.f_segments)
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 1000, 4099, 10 ** 5])
+    def test_segments_are_a_view_on_the_last_axis(self, k):
+        # the K segment FIs are a read-only view of the one evaluated FI per
+        # rate, laid out as v_chain reads them
+        gammas = np.random.default_rng(k).uniform(0.0, 1.5, size=(3, 5))
+        report = k_chain_gain(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=0.02)), T, k)
+        assert report.f_segments.shape == (3, 5, k)
+        assert report.f_segments.strides[-1] == 0
+        assert not report.f_segments.flags.writeable
+        assert report.k == len(report.segments) == k
+        assert (v_chain(report.f_end, report.f_segments).tobytes()
+                == report.v.tobytes())
 
     def test_zero_segment_fi_of_one_rate_raises(self):
         # at gamma = 0 the segment angle pi/2 sits at a fringe extreme
