@@ -5,8 +5,8 @@ The package is organised around one pipeline:
 * :mod:`cfii.models` - binary outcome families (ideal qubit fringe, damped
   noisy fringe, generic categoricals) with exact scores and Fisher
   information.
-* :mod:`cfii.fim` - multiparameter Fisher matrices, effective information
-  for a direction of interest, synergy bookkeeping, and coarse-graining.
+* :mod:`cfii.fim` - effective information of a multiparameter Fisher
+  matrix for a direction of interest, and coarse-graining.
 * :mod:`cfii.witness` - the path witness V, chain witnesses, classical
   split benchmarks, and the dephasing crossing point.
 * :mod:`cfii.estimate` - finite-shot plug-in estimation, standard errors,
@@ -46,10 +46,7 @@ _EXPORTS = {
         "QubitPreparation", "NoisyFringeParams", "BinaryModel",
         "QubitFringeModel", "NoisyFringeModel", "CategoricalModel",
         "categorical_fi", "categorical_product"), "models"),
-    **dict.fromkeys((
-        "FisherMatrix", "effective_fi", "synergy_effective_fi",
-        "synergy_window", "equicorrelated_effective_fi",
-        "equicorrelated_matrix", "coarse_grain_fi"), "fim"),
+    **dict.fromkeys(("effective_fi", "coarse_grain_fi"), "fim"),
     **dict.fromkeys((
         "WitnessReport", "v_path", "v_chain", "classical_benchmark_path",
         "gain_indicator", "improvement_factor", "split_optimized_benchmark",

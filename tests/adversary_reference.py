@@ -12,7 +12,6 @@
 import numpy as np
 
 from cfii.adversary import AdversaryParams
-from cfii.fim import FisherMatrix
 
 
 def softmax(x):
@@ -50,7 +49,8 @@ def module_fis(kernels):
 
 
 def endpoint_fim(kernels):
-    """2x2 endpoint Fisher matrix of p_b in the two module parameters."""
+    """2x2 endpoint Fisher matrix of p_b in the two module parameters,
+    symmetrized."""
     alpha, alpha_dot, beta, beta_dot = kernels
     p = beta.T @ alpha
     v1 = beta.T @ alpha_dot
@@ -60,7 +60,7 @@ def endpoint_fim(kernels):
         [np.sum(v1[live] ** 2 / p[live]), np.sum(v1[live] * v2[live] / p[live])],
         [np.sum(v1[live] * v2[live] / p[live]), np.sum(v2[live] ** 2 / p[live])],
     ])
-    return FisherMatrix(0.5 * (mat + mat.T))
+    return 0.5 * (mat + mat.T)
 
 
 def joint_model_reference(params, h=1e-5):

@@ -20,18 +20,19 @@ from cfii.adversary import gamma_adv, gamma_adv_gradient, optimize_restarts
 from cfii.cli import main
 from cfii.estimate import (analytic_certification, classifier_fi, mc_rmse,
                            mc_vk_distribution)
-from cfii.fim import (coarse_grain_fi, effective_fi,
-                      equicorrelated_effective_fi, equicorrelated_matrix,
-                      synergy_effective_fi, synergy_window)
+from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
                          QubitPreparation, categorical_fi,
                          categorical_product)
 from cfii.witness import (gamma_crossing, improvement_factor, k_chain_gain,
                           nsit_separation_demo, v_chain, v_path)
+from fim_reference import (equicorrelated_effective_fi, equicorrelated_matrix,
+                           synergy_window)
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 EQUATOR = QubitPreparation(vartheta=0.0, varphi=math.pi / 2)
+ONES2 = np.ones(2)
 
 
 @contextmanager
@@ -109,6 +110,11 @@ def test_gain_crossing_location():
         assert gamma_star == pytest.approx(0.444, abs=5e-3)
 
 
+def pair_fi(f1, f2, j):
+    """effective_fi of the coupled pair [[f1, j], [j, f2]] along (1, 1)."""
+    return effective_fi(np.array([[f1, j], [j, f2]]), ONES2)
+
+
 def test_synergy_window_and_supremum():
     with budget("synergy", 10.0):
         rng = np.random.default_rng(1)
@@ -119,9 +125,7 @@ def test_synergy_window_and_supremum():
             j = float(rng.uniform(-s, s)) * 0.999999
             harmonic = f1 * f2 / (f1 + f2)
             lo, hi = synergy_window(f1, f2)
-            assert lo == 0.0 and hi == pytest.approx(2.0 * harmonic,
-                                                     rel=1e-14)
-            beats = synergy_effective_fi(f1, f2, j) > harmonic
+            beats = pair_fi(f1, f2, j) > harmonic
             assert beats == (lo < j < hi)
             harmonic_beaten += beats
         assert 0 < harmonic_beaten < 10 ** 4
@@ -129,12 +133,12 @@ def test_synergy_window_and_supremum():
         for _ in range(100):
             f1, f2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
             s = math.sqrt(f1 * f2)
-            grid = np.linspace(-s, s, 1025)[1:-1]
-            values = [synergy_effective_fi(f1, f2, float(j)) for j in grid]
+            grid = np.linspace(-s, s, 257)[1:-1]
+            values = [pair_fi(f1, f2, float(j)) for j in grid]
             j_hat = grid[int(np.argmax(values))]
             step = grid[1] - grid[0]
             refine = minimize_scalar(
-                lambda j: -synergy_effective_fi(f1, f2, j),
+                lambda j: -pair_fi(f1, f2, j),
                 bounds=(max(-s, j_hat - step), min(s, j_hat + step)),
                 method="bounded", options={"xatol": 1e-10})
             supremum = max(max(values), -refine.fun)
@@ -152,8 +156,9 @@ def test_equicorrelated_closed_form():
             mat = equicorrelated_matrix(f, eps, k)
             u = np.ones(k)
             direct = 1.0 / float(u @ np.linalg.inv(mat) @ u)
-            assert closed == pytest.approx(direct, abs=1e-10)
-            assert closed == pytest.approx(effective_fi(mat, u), abs=1e-10)
+            got = effective_fi(mat, u)
+            assert got == pytest.approx(closed, abs=1e-10)
+            assert got == pytest.approx(direct, abs=1e-10)
 
 
 def test_data_processing_inequality():
@@ -205,7 +210,7 @@ def test_adversary_saturation_frontier():
                     params = params_from_vector(x, l, m)
                     kernels = eval_kernels(params)
                     f_ac, f_cb = module_fis(kernels)
-                    fim = endpoint_fim(kernels).mat
+                    fim = endpoint_fim(kernels)
                     bf_ac, bf_cb, bf_fim = joint_model_reference(params)
                     assert f_ac == pytest.approx(bf_ac, abs=1e-8)
                     assert f_cb == pytest.approx(bf_cb, abs=1e-8)

@@ -35,7 +35,7 @@ def closed_form_gamma(params):
     if f_min < FI_FLOOR:
         return None, f_min, None
     f_b = endpoint_fim(kernels)
-    w = np.linalg.eigvalsh(f_b.mat)
+    w = np.linalg.eigvalsh(f_b)
     w = w[w > PINV_RCOND * w[-1]]
     return (effective_fi(f_b, np.ones(2)) * (1.0 / f_ac + 1.0 / f_cb),
             f_min, w[-1] / w[0])
@@ -112,14 +112,14 @@ class TestEndpointFim:
     def test_zero_without_tangents(self):
         params = AdversaryParams(a=np.array([0.1, -0.4]), a_dot=np.zeros(2),
                                  d=np.ones((2, 3)), d_dot=np.zeros((2, 3)))
-        np.testing.assert_allclose(endpoint_fim(eval_kernels(params)).mat,
+        np.testing.assert_allclose(endpoint_fim(eval_kernels(params)),
                                    0.0, atol=1e-15)
 
     def test_single_mediator_kills_upstream_row(self):
         params = AdversaryParams(a=np.array([0.2]), a_dot=np.array([3.0]),
                                  d=np.array([[0.1, -0.1, 0.4]]),
                                  d_dot=np.array([[1.0, 0.5, -0.5]]))
-        fim = endpoint_fim(eval_kernels(params)).mat
+        fim = endpoint_fim(eval_kernels(params))
         np.testing.assert_allclose(fim[0, :], 0.0, atol=1e-15)
         np.testing.assert_allclose(fim[:, 0], 0.0, atol=1e-15)
         assert fim[1, 1] > 0.0
@@ -130,8 +130,8 @@ class TestEndpointFim:
             params = random_params(rng, int(rng.integers(1, 5)),
                                    int(rng.integers(2, 5)), scale=2.0)
             fim = endpoint_fim(eval_kernels(params))
-            assert np.max(np.abs(fim.mat - fim.mat.T)) < 1e-10
-            assert np.min(np.linalg.eigvalsh(fim.mat)) > -1e-10
+            assert np.max(np.abs(fim - fim.T)) < 1e-10
+            assert np.min(np.linalg.eigvalsh(fim)) > -1e-10
 
 
 class TestBruteForceEquivalence:
@@ -143,7 +143,7 @@ class TestBruteForceEquivalence:
                     params = random_params(rng, l, m)
                     kernels = eval_kernels(params)
                     f_ac, f_cb = module_fis(kernels)
-                    fim = endpoint_fim(kernels).mat
+                    fim = endpoint_fim(kernels)
                     bf_ac, bf_cb, bf_fim = joint_model_reference(params)
                     assert f_ac == pytest.approx(bf_ac, abs=1e-8)
                     assert f_cb == pytest.approx(bf_cb, abs=1e-8)

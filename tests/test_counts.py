@@ -17,15 +17,13 @@ from cfii import adversary, cli, estimate, rng
 from cfii.adversary import (MAX_BATCH_PARAMS, MAX_LR, AdversaryParams,
                             optimize_restarts)
 from cfii.errors import (EstimationError, NonPositiveFiError,
-                         NonStochasticChannelError, NotPositiveDefiniteError)
+                         NonStochasticChannelError)
 from cfii.estimate import (MAX_REPS, MAX_SHOTS, ContextSample, FiEstimate,
                            analytic_certification, analytic_mu4, certify_vk,
                            classifier_fi, classifier_score,
                            fi_estimate_variance, mc_rmse, mc_vk_distribution,
                            mle_theta, sample_binary)
-from cfii.fim import (FisherMatrix, coarse_grain_fi, effective_fi,
-                      equicorrelated_effective_fi, equicorrelated_matrix,
-                      synergy_effective_fi, synergy_window)
+from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
                          QubitPreparation)
@@ -74,10 +72,6 @@ SITES = {
     "derive_rng.seed": ("seed", 0, None, lambda v: rng.derive_rng(v, 1)),
     "derive_rng.path": ("path element", 0, None,
                         lambda v: rng.derive_rng(1, 2, v)),
-    "equicorrelated_effective_fi.k": (
-        "k", 1, None, lambda v: equicorrelated_effective_fi(1.0, 0.1, v)),
-    "equicorrelated_matrix.k": (
-        "k", 1, None, lambda v: equicorrelated_matrix(1.0, 0.1, v)),
     "classifier_score.counts_plus": (
         "counts_plus", 0, None,
         lambda v: classifier_score((v, 10), (5, 5), 0.1)),
@@ -229,18 +223,11 @@ REAL_SITES = {
     "CategoricalModel.pdot": (
         "pdot", "(-inf, inf)",
         lambda v: CategoricalModel([0.5, 0.5], [v, 0.0])),
-    "FisherMatrix.mat": (
-        "mat", "(-inf, inf)", lambda v: FisherMatrix([[1.0, v], [v, 1.0]])),
+    "effective_fi.mat": (
+        "mat", "(-inf, inf)",
+        lambda v: effective_fi([[1.0, v], [v, 1.0]], [1.0, 1.0])),
     "effective_fi.u": (
         "u", "(-inf, inf)", lambda v: effective_fi(np.eye(2), [1.0, v])),
-    "equicorrelated_effective_fi.f": (
-        "f", "[0, inf)", lambda v: equicorrelated_effective_fi(v, 0.1, 3)),
-    "equicorrelated_effective_fi.eps": (
-        "eps", "[0, 1)", lambda v: equicorrelated_effective_fi(1.0, v, 3)),
-    "equicorrelated_matrix.f": (
-        "f", "[0, inf)", lambda v: equicorrelated_matrix(v, 0.1, 3)),
-    "equicorrelated_matrix.eps": (
-        "eps", "[0, 1)", lambda v: equicorrelated_matrix(1.0, v, 3)),
     "k_chain_gain.theta_total": (
         "theta_total", "(0, inf)", lambda v: k_chain_gain(NOISY, v, 4)),
     "improvement_factor.v": (
@@ -344,12 +331,6 @@ def test_classifier_fi_alpha_refused_by_name():
 
 # domain checks that keep their CfiiError class: site -> (class, call)
 KEPT_SITES = {
-    "synergy_effective_fi.f1": (
-        NotPositiveDefiniteError, lambda v: synergy_effective_fi(v, 1.0, 0.0)),
-    "synergy_effective_fi.j": (
-        NotPositiveDefiniteError, lambda v: synergy_effective_fi(1.0, 1.0, v)),
-    "synergy_window.f2": (
-        NotPositiveDefiniteError, lambda v: synergy_window(1.0, v)),
     "improvement_factor.r_cl": (
         NonPositiveFiError, lambda v: improvement_factor(0.1, v)),
     "coarse_grain_fi.channel": (

@@ -1,5 +1,6 @@
-"""Tests for Fisher-matrix algebra: effective FI, synergy, equicorrelated
-chains, and coarse-graining."""
+"""Tests for Fisher-matrix algebra: the checks and the effective FI of
+effective_fi, the synergy and equicorrelated closed forms it reproduces, and
+coarse-graining."""
 
 import math
 import warnings
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 from cfii.errors import (NonStochasticChannelError, NotPositiveDefiniteError,
                          ResistanceOverflowError)
-from cfii.fim import (FisherMatrix, coarse_grain_fi, effective_fi,
-                      equicorrelated_effective_fi, equicorrelated_matrix,
-                      synergy_effective_fi, synergy_window)
+from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import CategoricalModel, categorical_fi
 from cfii.witness import improvement_factor
+from fim_reference import (equicorrelated_effective_fi, equicorrelated_matrix,
+                           synergy_effective_fi, synergy_window)
 
 ONES2 = np.ones(2)
 
@@ -25,26 +26,51 @@ def random_spd(rng, d):
     return a @ a.T + 0.1 * np.eye(d)
 
 
+def pair_fi(f1, f2, j):
+    """effective_fi of the coupled pair [[f1, j], [j, f2]] along (1, 1)."""
+    return effective_fi(np.array([[f1, j], [j, f2]]), ONES2)
+
+
 class TestFisherMatrix:
+    """The checks effective_fi makes of its Fisher matrix."""
+
     def test_accepts_psd(self):
-        fm = FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert fm.dim == 2
+        assert effective_fi([[2.0, 1.0], [1.0, 2.0]], ONES2) == pytest.approx(
+            1.5, rel=1e-14)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            FisherMatrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^expected a square matrix"):
+            effective_fi(np.ones((2, 3)), ONES2)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            FisherMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ValueError, match="^matrix is not symmetric"):
+            effective_fi(np.array([[1.0, 0.5], [0.2, 1.0]]), ONES2)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            FisherMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            effective_fi(np.array([[1.0, 2.0], [2.0, 1.0]]), ONES2)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FisherMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^mat must lie in"):
+            effective_fi(np.array([[np.inf, 0.0], [0.0, 1.0]]), ONES2)
+
+    def test_one_eigh_per_call(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        effective_fi(np.array([[2.0, 1.0], [1.0, 2.0]]), ONES2)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        with pytest.raises(NotPositiveDefiniteError):
+            effective_fi(np.array([[1.0, 2.0], [2.0, 1.0]]), ONES2)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
 
 
 class TestEffectiveFi:
@@ -98,35 +124,90 @@ class TestEffectiveFi:
             effective_fi(np.eye(2), np.zeros(2))
 
 
+class TestScaleEdges:
+    """effective_fi at directions and matrices far from unit scale: each
+    check and the row-space test are relative to the input's own scale."""
+
+    @pytest.mark.parametrize("mat, u, expected", [
+        # |u|^2 underflows to 0, but u is nonzero and F_eff = 1e400
+        (np.eye(2), [1e-200, 0.0],
+         (ResistanceOverflowError, r"^1/\(u\^T F\^\+ u\) overflows$")),
+        # u leaves the row space, whatever its size
+        (np.diag([1.0, 0.0]), [1e300, 1e300], 0.0),
+        (np.eye(2), [1e300, 1e300],
+         (ResistanceOverflowError, r"^u\^T F\^\+ u overflows$")),
+        (np.zeros((0, 0)), np.zeros(0),
+         (ValueError, "^direction must be nonzero$")),
+        ([[1e-200, 5e-201], [0.0, 1e-200]], ONES2,
+         (ValueError, "^matrix is not symmetric")),
+        ([[1e-200, 0.0], [5e-201, 1e-200]], ONES2,
+         (ValueError, "^matrix is not symmetric")),
+        # a relative asymmetry of 7e-16; eigh reads the lower triangle
+        ([[1e20, 1e20 + 2e5], [1e20, 3e20]], ONES2, 1e20),
+        # eigenvalues -1e-200 and 3e-200, as [[1, 2], [2, 1]] scaled down
+        ([[1e-200, 2e-200], [2e-200, 1e-200]], ONES2,
+         (NotPositiveDefiniteError, "^matrix has an eigenvalue below")),
+    ], ids=["tiny-direction", "huge-direction-outside-row-space",
+            "huge-direction", "empty", "tiny-asymmetric",
+            "tiny-asymmetric-transposed", "huge-nearly-symmetric",
+            "tiny-indefinite"])
+    def test_scale_edge(self, mat, u, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, tuple):
+                with pytest.raises(expected[0], match=expected[1]):
+                    effective_fi(mat, u)
+            else:
+                assert effective_fi(mat, u) == pytest.approx(
+                    expected, rel=1e-14, abs=0.0)
+
+
 class TestSynergy:
+    """effective_fi of the coupled pair [[f1, j], [j, f2]] along (1, 1)
+    against the closed forms of tests/fim_reference.py."""
+
     def test_uncoupled_harmonic(self):
-        assert synergy_effective_fi(1.0, 1.0, 0.0) == pytest.approx(0.5)
+        assert pair_fi(1.0, 1.0, 0.0) == pytest.approx(0.5)
 
     def test_coupled_example(self):
-        assert synergy_effective_fi(1.0, 1.0, 0.5) == pytest.approx(0.75)
+        assert pair_fi(1.0, 1.0, 0.5) == pytest.approx(0.75)
 
     def test_supremum_example(self):
-        assert synergy_effective_fi(2.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert pair_fi(2.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            synergy_effective_fi(1.0, 1.0, 1.0)
+            pair_fi(1.0, 1.0, 1.5)
         with pytest.raises(NotPositiveDefiniteError):
-            synergy_effective_fi(0.0, 1.0, 0.0)
+            pair_fi(-1.0, 1.0, 0.0)
 
     def test_matches_matrix_route(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
             f1, f2 = np.exp(rng.normal(size=2))
             j = rng.uniform(-1, 1) * 0.99 * np.sqrt(f1 * f2)
-            closed = synergy_effective_fi(f1, f2, j)
-            matrix = effective_fi(np.array([[f1, j], [j, f2]]), ONES2)
-            assert closed == pytest.approx(matrix, rel=1e-10)
+            assert pair_fi(f1, f2, j) == pytest.approx(
+                synergy_effective_fi(f1, f2, j), rel=1e-10)
+
+    @pytest.mark.parametrize("mat, expected", [
+        ([[1e-200, 0.0], [0.0, 1e-200]], 5e-201),
+        ([[1e300, 1e200], [1e200, 1e300]], 4.9999999999999995e+299),
+    ], ids=["tiny", "huge"])
+    def test_extreme_pairs(self, mat, expected):
+        # f1 f2 - j^2 underflows to 0, or is inf - inf, in the closed form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert effective_fi(mat, ONES2) == pytest.approx(expected,
+                                                             rel=1e-14)
 
     def test_window_examples(self):
-        assert synergy_window(1.0, 1.0) == (0.0, pytest.approx(1.0))
-        lo, hi = synergy_window(3.0, 3.0)
-        assert lo == 0.0 and hi == pytest.approx(3.0)
+        # f1 = f2 = f: the window is (0, f) and the harmonic value f / 2
+        for f in (1.0, 3.0):
+            assert synergy_window(f, f) == (0.0, f)
+            for j in (-0.5 * f, -0.1 * f):
+                assert not pair_fi(f, f, j) > 0.5 * f
+            for j in (0.1 * f, 0.5 * f, 0.9 * f):
+                assert pair_fi(f, f, j) > 0.5 * f
 
     def test_boundaries_meet_harmonic(self):
         # The upper-boundary identity cancels (f1 - f2)^2 against f1 f2 - j^2,
@@ -138,10 +219,8 @@ class TestSynergy:
             f2 = f1 * rng.uniform(1.5, 4.0)
             harmonic = 1.0 / (1.0 / f1 + 1.0 / f2)
             _, hi = synergy_window(f1, f2)
-            assert synergy_effective_fi(f1, f2, 0.0) == pytest.approx(
-                harmonic, rel=1e-12)
-            assert synergy_effective_fi(f1, f2, hi) == pytest.approx(
-                harmonic, rel=1e-12)
+            assert pair_fi(f1, f2, 0.0) == pytest.approx(harmonic, rel=1e-12)
+            assert pair_fi(f1, f2, hi) == pytest.approx(harmonic, rel=1e-12)
 
     def test_window_membership_iff_beats_harmonic(self):
         rng = np.random.default_rng(29)
@@ -151,20 +230,25 @@ class TestSynergy:
         for j in rng.uniform(-0.9, 0.9, size=1000) * np.sqrt(f1 * f2):
             if min(abs(j - lo), abs(j - hi)) < 1e-9:
                 continue
-            beats = synergy_effective_fi(f1, f2, j) > harmonic
+            beats = pair_fi(f1, f2, j) > harmonic
             assert beats == (lo < j < hi)
 
 
 class TestEquicorrelated:
+    """effective_fi of f [(1 - eps) I + eps J] along the all-ones direction
+    against the closed form f (eps + (1 - eps) / K)."""
+
     def test_classical_series_dilution(self):
-        assert equicorrelated_effective_fi(2.0, 0.0, 5) == pytest.approx(0.4)
+        mat = equicorrelated_matrix(2.0, 0.0, 5)
+        assert effective_fi(mat, np.ones(5)) == pytest.approx(0.4)
 
     def test_half_correlated_four_chain(self):
-        assert equicorrelated_effective_fi(1.0, 0.5, 4) == pytest.approx(0.625)
+        mat = equicorrelated_matrix(1.0, 0.5, 4)
+        assert effective_fi(mat, np.ones(4)) == pytest.approx(0.625)
 
     def test_full_correlation_limit(self):
-        f = equicorrelated_effective_fi(3.0, 1.0 - 1e-12, 7)
-        assert f == pytest.approx(3.0, rel=1e-10)
+        mat = equicorrelated_matrix(3.0, 1.0 - 1e-12, 7)
+        assert effective_fi(mat, np.ones(7)) == pytest.approx(3.0, rel=1e-10)
 
     def test_matches_matrix_inversion(self):
         rng = np.random.default_rng(31)
@@ -175,15 +259,17 @@ class TestEquicorrelated:
             closed = equicorrelated_effective_fi(f, eps, k)
             mat = equicorrelated_matrix(f, eps, k)
             direct = 1.0 / float(np.ones(k) @ np.linalg.inv(mat) @ np.ones(k))
+            assert effective_fi(mat, np.ones(k)) == pytest.approx(closed,
+                                                                  rel=1e-10)
             assert closed == pytest.approx(direct, rel=1e-10)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            equicorrelated_effective_fi(1.0, -0.1, 3)
-        with pytest.raises(ValueError):
-            equicorrelated_effective_fi(1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            equicorrelated_effective_fi(1.0, 0.5, 0)
+        # the family is PSD for eps in [-1/(K-1), 1]: below, effective_fi
+        # refuses it; at eps = 1 it is rank one and keeps the all-ones mode
+        with pytest.raises(NotPositiveDefiniteError):
+            effective_fi(equicorrelated_matrix(1.0, -0.6, 3), np.ones(3))
+        assert effective_fi(equicorrelated_matrix(2.0, 1.0, 3),
+                            np.ones(3)) == pytest.approx(2.0, rel=1e-12)
 
 
 def random_categorical(rng, m):
@@ -236,22 +322,18 @@ class TestCoarseGraining:
 
 class TestExtremeFiniteInputs:
     """Finite inputs whose intermediate products or inverses pass the
-    largest float: a closed form refuses instead of returning NaN or a
+    largest float: the library refuses instead of returning NaN or a
     wrong number, and an FI past the largest float is inf, with no
     RuntimeWarning on the way."""
 
     @pytest.mark.parametrize("call, match", [
-        (lambda: synergy_effective_fi(1e308, 1e308, 0.0),
-         r"^f1 f2 - j\^2 overflows$"),
-        (lambda: synergy_window(1e308, 1e308), r"^2 f1 f2 overflows$"),
         (lambda: improvement_factor(1e308, 1e308), r"^r_cl \+ v overflows$"),
         # 5e-321 is the true F_eff, not the 0.0 of a lost direction
         (lambda: effective_fi(np.eye(2) * 1e-320, ONES2),
          r"^u\^T F\^\+ u overflows$"),
         (lambda: effective_fi(np.eye(2) * 1e300, [1e-150, 0.0]),
          r"^1/\(u\^T F\^\+ u\) overflows$"),
-    ], ids=["synergy_effective_fi", "synergy_window", "improvement_factor",
-            "effective_fi-subnormal", "effective_fi-huge"])
+    ], ids=["improvement_factor", "effective_fi-subnormal", "effective_fi-huge"])
     def test_overflow_refused(self, call, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
