@@ -3,14 +3,15 @@
 The package is organised around one pipeline:
 
 * :mod:`cfii.models` - binary outcome families (ideal qubit fringe, damped
-  noisy fringe, generic categoricals) with exact scores and Fisher
-  information.
+  noisy fringe, generic categoricals) with their Fisher information and
+  score moments.
 * :mod:`cfii.fim` - effective information of a multiparameter Fisher
   matrix for a direction of interest, and coarse-graining.
 * :mod:`cfii.witness` - the path witness V, chain witnesses, classical
   split benchmarks, and the dephasing crossing point.
-* :mod:`cfii.estimate` - finite-shot plug-in estimation, standard errors,
-  certification reports, classifier-based scores, and MLE calibration.
+* :mod:`cfii.estimate` - finite-shot sampling, certification reports with
+  delta-method standard errors, classifier-based scores, and the MLE's
+  Monte Carlo RMSE.
 * :mod:`cfii.adversary` - a parametric adversarial family plus the
   optimizer used to probe saturation of the witness bound.
 * :mod:`cfii.cli` - the ``cfii`` command-line driver.
@@ -39,23 +40,21 @@ _EXPORTS = {
         "CfiiError", "DegenerateModelError", "NonPositiveFiError",
         "NotPositiveDefiniteError", "NonStochasticChannelError",
         "OptimizationError", "NoCrossingError", "DegenerateBenchmarkError",
-        "EstimationError", "ResistanceOverflowError", "BranchWarning"),
-        "errors"),
+        "EstimationError", "ResistanceOverflowError"), "errors"),
     "derive_rng": "rng",
     **dict.fromkeys((
         "QubitPreparation", "NoisyFringeParams", "BinaryModel",
         "QubitFringeModel", "NoisyFringeModel", "CategoricalModel",
-        "categorical_fi", "categorical_product"), "models"),
+        "categorical_fi"), "models"),
     **dict.fromkeys(("effective_fi", "coarse_grain_fi"), "fim"),
     **dict.fromkeys((
         "WitnessReport", "v_path", "v_chain", "classical_benchmark_path",
-        "gain_indicator", "improvement_factor", "split_optimized_benchmark",
-        "k_chain_gain", "gamma_crossing", "nsit_separation_demo"), "witness"),
+        "gain_indicator", "split_optimized_benchmark", "k_chain_gain",
+        "gamma_crossing", "nsit_separation_demo"), "witness"),
     **dict.fromkeys((
         "ContextSample", "FiEstimate", "CertificationReport", "sample_binary",
-        "plugin_fi", "analytic_mu4", "fi_estimate_variance", "certify_vk",
-        "analytic_certification", "classifier_score", "classifier_fi",
-        "mle_theta", "mc_rmse", "mc_vk_distribution"), "estimate"),
+        "certify_vk", "analytic_certification", "classifier_score",
+        "classifier_fi", "mc_rmse", "mc_vk_distribution"), "estimate"),
     **dict.fromkeys((
         "AdversaryParams", "OptimizeResult", "gamma_adv",
         "gamma_adv_gradient", "optimize_restarts"), "adversary"),

@@ -47,7 +47,8 @@ _TAG_RESTART = 5
 
 @dataclass(frozen=True)
 class AdversaryParams:
-    """Logits and logit-derivatives of the two softmax tangent kernels."""
+    """Logits and logit-derivatives of the two softmax tangent kernels,
+    kept as read-only copies of the arrays given."""
 
     a: np.ndarray
     a_dot: np.ndarray
@@ -56,7 +57,9 @@ class AdversaryParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "a_dot", "d", "d_dot"):
-            object.__setattr__(self, name, require_real(getattr(self, name), name))
+            values = np.array(require_real(getattr(self, name), name))
+            values.flags.writeable = False  # the checks below hold for good
+            object.__setattr__(self, name, values)
         shape_a, shape_d = np.shape(self.a), np.shape(self.d)
         if len(shape_a) != 1 or np.shape(self.a_dot) != shape_a:
             raise ValueError("a and a_dot must be 1-D arrays of equal length")

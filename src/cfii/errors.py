@@ -21,8 +21,9 @@ class NonPositiveFiError(CfiiError, ValueError):
 
 class ResistanceOverflowError(CfiiError, ValueError):
     """A positive Fisher information whose inverse (an information
-    resistance), a sum of such inverses, F^2, 1/F^4 or F^4 overflows, or a
-    closed form whose product or sum of finite inputs does."""
+    resistance), a sum of such inverses, 1/F^4 or F^4 overflows, or a
+    finite Fisher matrix whose largest eigenvalue, resistance u^T F^+ u or
+    its inverse does."""
 
 
 class NotPositiveDefiniteError(CfiiError, ValueError):
@@ -51,6 +52,3 @@ class EstimationError(CfiiError, ValueError):
     """A finite-sample estimate is unusable (e.g. an empirical standard
     error of 0, or a classifier score that overflows)."""
 
-
-class BranchWarning(UserWarning):
-    """The inverted estimate sits on the boundary of the monotone branch."""

@@ -21,13 +21,12 @@ distribution of V_hat.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (BranchWarning, DegenerateModelError, EstimationError,
+from .errors import (DegenerateModelError, EstimationError,
                      ResistanceOverflowError)
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
 from .rng import derive_rng, require_integral, require_real
@@ -145,7 +144,8 @@ def _require_scores(scores) -> None:
 def _variance(f, mu4, n):
     """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI, at least 0:
     mu4 = F^2 where s^2 is outcome-independent, and may round below it.
-    NaN where F^2 overflows: fi_estimate_variance and _witness refuse it."""
+    NaN where F^2 overflows; _witness refuses such an F, whose F^4 overflows
+    too."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.maximum(0.0, (mu4 - f * f) / n)
 
@@ -182,32 +182,6 @@ def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
     made = {key: FiEstimate(*key, degenerate=key[2] == 1)
             for key in dict.fromkeys(keys)}
     return tuple(made[key] for key in keys)
-
-
-def plugin_fi(sample: ContextSample, model: BinaryModel) -> FiEstimate:
-    """Average squared score over the sample, with the sample variance of
-    the squared scores divided by n as the variance estimate.
-
-    A single-shot sample cannot estimate a variance; it reports 0 with the
-    degenerate flag set.
-    """
-    n, scores = [sample.n], model._moments(sample.theta)[:2]
-    return _estimates(n, *_plugin(n, [sample.n0], scores))[0]
-
-
-def analytic_mu4(model: BinaryModel, theta: float) -> float:
-    """Fourth moment of the score, sum_x p_x s_x^4."""
-    return float(model._moments(require_real(theta, "theta"))[3])
-
-
-def fi_estimate_variance(model: BinaryModel, theta: float, n: int) -> float:
-    """Analytic variance (mu4 - F^2)/n of the n-shot plug-in FI estimator;
-    an F whose F^2 overflows raises ResistanceOverflowError."""
-    f, mu4 = model._moments(require_real(theta, "theta"))[2:]
-    var = float(_variance(f, mu4, require_integral(n, "n", 1)))
-    if math.isnan(var):
-        raise ResistanceOverflowError("F^2 overflows")
-    return var
 
 
 def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
@@ -333,22 +307,12 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
     return _estimates(n, *_plugin(n, [n_eval - n1_e], (s0, s1)))[0]
 
 
-def mle_theta(p0_hat: float, vartheta: float = 0.0) -> float:
-    """Invert the ideal fringe p0 = cos^2((theta - vartheta)/2), one-to-one
-    on the branch (vartheta, vartheta + pi).  Frequencies are clamped to
-    [1e-12, 1 - 1e-12]; a frequency of 0 or 1 sits on the branch boundary,
-    where the estimate is pinned to vartheta + pi or vartheta with a
-    warning."""
-    p0_hat = require_real(p0_hat, "p0_hat", 0, 1)
-    vartheta = require_real(vartheta, "vartheta")
-    if p0_hat <= 0.0 or p0_hat >= 1.0:
-        warnings.warn("frequency on the branch boundary; estimate pinned",
-                      BranchWarning, stacklevel=2)
-    return float(_mle_theta(p0_hat, vartheta))
-
-
 def _mle_theta(p0_hat, vartheta: float):
-    """Array core of mle_theta: clamp, invert, and pin the branch ends."""
+    """Invert the ideal fringe p0 = cos^2((theta - vartheta)/2), one-to-one
+    on the branch (vartheta, vartheta + pi), at each frequency p0_hat in
+    [0, 1].  Frequencies are clamped to [1e-12, 1 - 1e-12]; a frequency of
+    0 or 1 sits on the branch boundary, where the estimate is pinned to
+    vartheta + pi or vartheta."""
     clamped = np.clip(p0_hat, 1e-12, 1.0 - 1e-12)
     theta_hat = vartheta + 2.0 * np.arccos(np.sqrt(clamped))
     return np.where(p0_hat >= 1.0, vartheta,

@@ -42,8 +42,8 @@ def effective_fi(mat: np.ndarray, u: np.ndarray) -> float:
     F must be real, square, symmetric and positive semidefinite, each within
     a tolerance relative to its own scale.  One eigendecomposition gives both
     the PSD test and the pseudoinverse, whose relative cutoff is PINV_RCOND;
-    returns 0.0 when u lies outside the row space of F.  A resistance
-    u^T F^+ u, or its inverse, past the largest float raises
+    returns 0.0 when u lies outside the row space of F.  An eigenvalue of F,
+    a resistance u^T F^+ u or its inverse past the largest float raises
     ResistanceOverflowError.
     """
     m = require_real(mat, "mat")
@@ -63,6 +63,9 @@ def effective_fi(mat: np.ndarray, u: np.ndarray) -> float:
         raise ValueError("direction must be nonzero")
 
     w, vecs = np.linalg.eigh(m)  # ascending, so max|w| = max(-w[0], w[-1])
+    # an eigenvalue past the largest float would scale the cutoff to inf
+    if not -math.inf < w[0] <= w[-1] < math.inf:  # NaN fails too
+        raise ResistanceOverflowError("an eigenvalue of F overflows")
     if w[0] < -PSD_RTOL * max(-w[0], w[-1]):
         raise NotPositiveDefiniteError(
             f"matrix has an eigenvalue below -{PSD_RTOL} times its largest")

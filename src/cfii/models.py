@@ -101,17 +101,6 @@ class BinaryModel(ABC):
     def p1(self, theta):
         return 0.5 * (1.0 - self.z(theta))
 
-    def score(self, x: int, theta):
-        """Per-outcome score d ln p_x / d theta."""
-        if x not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {x}")
-        sign = 1.0 if x == 0 else -1.0
-        denom = 1.0 + sign * self.z(theta)
-        if np.any(denom <= 0.0):
-            raise DegenerateModelError(
-                f"outcome {x} has zero probability; score undefined")
-        return sign * self.zdot(theta) / denom
-
     def fi(self, theta):
         """Fisher information zdot^2 / (1 - z^2), with the continuous
         extension -z * zddot where 1 - z^2 and zdot^2 underflow the
@@ -152,13 +141,6 @@ class BinaryModel(ABC):
                            0.5 * (1.0 + z) * np.float_power(s0, 4)
                            + 0.5 * (1.0 - z) * np.float_power(s1, 4))
         return s0, s1, f, mu4
-
-    def as_categorical(self, theta) -> "CategoricalModel":
-        """The same model at a fixed theta as a two-outcome categorical."""
-        p0 = float(self.p0(theta))
-        dp0 = 0.5 * float(self.zdot(theta))
-        return CategoricalModel(np.array([p0, 1.0 - p0]),
-                                np.array([dp0, -dp0]))
 
 
 @dataclass(frozen=True)
@@ -216,17 +198,20 @@ class NoisyFringeModel(BinaryModel):
         return damped * ((g * g - 1.0) * np.cos(x) + 2.0 * g * np.sin(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategoricalModel:
     """Finite outcome distribution p with its derivative pdot at the
-    expansion point.  p sums to 1 and pdot sums to 0 (within 1e-9)."""
+    expansion point.  p sums to 1 and pdot sums to 0 (within 1e-9); both
+    are kept as read-only copies, so the checks hold for the model's life."""
 
     p: np.ndarray
     pdot: np.ndarray
 
     def __post_init__(self) -> None:
-        self.p = require_real(self.p, "p", 0)
-        self.pdot = require_real(self.pdot, "pdot")
+        for name, lo in (("p", 0), ("pdot", -np.inf)):
+            values = np.array(require_real(getattr(self, name), name, lo))
+            values.flags.writeable = False  # the checks below hold for good
+            object.__setattr__(self, name, values)
         if np.ndim(self.p) != 1 or np.shape(self.p) != np.shape(self.pdot):
             raise ValueError("p and pdot must be 1-D arrays of equal length")
         if self.p.size < 2:
@@ -259,10 +244,3 @@ def _categorical_fi(p, pdot, what: str) -> float:
     live = ~dead
     with np.errstate(over="ignore"):  # an FI past the largest float is inf
         return float((pdot[live] ** 2 / p[live]).sum())
-
-
-def categorical_product(m1: CategoricalModel, m2: CategoricalModel) -> CategoricalModel:
-    """Joint model of two independent components; FI is additive."""
-    p = np.outer(m1.p, m2.p).ravel()
-    pdot = (np.outer(m1.pdot, m2.p) + np.outer(m1.p, m2.pdot)).ravel()
-    return CategoricalModel(p, pdot)

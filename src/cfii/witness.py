@@ -9,7 +9,8 @@ informations F_ac, F_cb of a split protocol.  Any classical (sequential,
 signaling-free) realization obeys V >= 0: inverse Fisher information adds
 like series resistance along a causal chain.  V < 0 therefore witnesses a
 resource beyond the classical path composition, with the improvement factor
-R_cl / (R_cl + V) quantifying how far past the frontier the protocol sits.
+R_cl / (R_cl + V) = F_end / F_benchmark (a report's gamma_ratio) quantifying
+how far past the frontier the protocol sits.
 
 The K-segment generalization sums the chain resistances, the split-optimized
 benchmark maximizes the harmonic composition over the intermediate time, and
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateBenchmarkError, NoCrossingError,
-                     NonPositiveFiError, OptimizationError,
-                     ResistanceOverflowError)
+from .errors import (NoCrossingError, NonPositiveFiError,
+                     OptimizationError, ResistanceOverflowError)
 from .models import (BinaryModel, NoisyFringeModel, NoisyFringeParams,
                      QubitFringeModel, QubitPreparation)
 from .rng import require_integral, require_real
@@ -95,21 +95,6 @@ def gain_indicator(f_end, f_benchmark):
     the protocol beats the classical benchmark."""
     _require_positive(f_end=f_end, f_benchmark=f_benchmark)
     return 0.5 * (np.log(f_benchmark) - np.log(f_end))
-
-
-def improvement_factor(v: float, r_cl: float) -> float:
-    """Resistance ratio r_cl / (r_cl + v) comparing classical and achieved
-    end-to-end information resistances."""
-    v = require_real(v, "v")
-    if not 0.0 < r_cl < math.inf:  # an infinite resistance is a zero FI
-        raise NonPositiveFiError(f"classical resistance must be > 0, got {r_cl}")
-    r = r_cl + v
-    if r <= 0.0:
-        raise DegenerateBenchmarkError(
-            f"achieved resistance r_cl + v = {r} is not positive")
-    if r == math.inf:
-        raise ResistanceOverflowError("r_cl + v overflows")
-    return r_cl / r
 
 
 def split_optimized_benchmark(model: BinaryModel,
@@ -203,11 +188,12 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
     """Dephasing rate gamma_star at which the chain gain Gamma_K(gamma)
     crosses 1, for the noisy fringe with `base`'s eps_r and vartheta0.
 
-    Scans 64 bracketing points over gamma_range (finite, 0 <= lo < hi) in
-    one array evaluation, then bisects the first sign-change bracket [a, b],
-    keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at most 1e-8 wide or
-    its midpoint is one of its ends; returns its midpoint.  A zero segment
-    FI raises NonPositiveFiError where the scan or the bisection meets it.
+    Scans 64 bracketing points over gamma_range, a (lo, hi) pair with
+    0 <= lo < hi finite, in one array evaluation, then bisects the first
+    sign-change bracket [a, b], keeping Gamma_K(a) > 1 >= Gamma_K(b), until
+    it is at most 1e-8 wide or its midpoint is one of its ends; returns its
+    midpoint.  A zero segment FI raises NonPositiveFiError where the scan or
+    the bisection meets it.
     """
     k = _require_chain(k, t_total, "t_total")
 
@@ -219,8 +205,13 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
         with np.errstate(over="ignore"):  # F k past the largest float is inf
             return f_end * k / f_segment - 1.0
 
-    lo = require_real(gamma_range[0], "gamma_range[0]", 0)
-    hi = require_real(gamma_range[1], "gamma_range[1]", lo, bounds="(]")
+    try:
+        lo, hi = gamma_range
+    except (TypeError, ValueError):
+        raise ValueError("gamma_range must be a (lo, hi) pair, got "
+                         f"{gamma_range!r}") from None
+    lo = require_real(lo, "gamma_range[0]", 0)
+    hi = require_real(hi, "gamma_range[1]", lo, bounds="(]")
     grid = np.linspace(lo, hi, 64)
     vals = excess(grid)
     if vals[0] <= 0.0:

@@ -23,10 +23,9 @@ from cfii.estimate import (analytic_certification, classifier_fi, mc_rmse,
 from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
-                         QubitPreparation, categorical_fi,
-                         categorical_product)
-from cfii.witness import (gamma_crossing, improvement_factor, k_chain_gain,
-                          nsit_separation_demo, v_chain, v_path)
+                         QubitPreparation, categorical_fi)
+from cfii.witness import (classical_benchmark_path, gamma_crossing,
+                          k_chain_gain, nsit_separation_demo, v_chain, v_path)
 from fim_reference import (equicorrelated_effective_fi, equicorrelated_matrix,
                            synergy_window)
 
@@ -61,9 +60,9 @@ def test_deterministic_collapse():
             f_cb = float(model.fi((1.0 - lam) * t_ab))
             v = v_path(f_ab, f_ac, f_cb)
             assert v == pytest.approx(-1.0, abs=1e-10)
-            r_cl = 1.0 / f_ac + 1.0 / f_cb
-            assert improvement_factor(v, r_cl) == pytest.approx(2.0,
-                                                                abs=1e-10)
+            # the improvement factor R_cl / (R_cl + V) = F_ab / F_benchmark
+            f_benchmark = classical_benchmark_path(f_ac, f_cb)
+            assert f_ab / f_benchmark == pytest.approx(2.0, abs=1e-10)
 
 
 def test_chain_composition_law():
@@ -248,11 +247,13 @@ def test_nsit_separation():
         # the blind-coin context, built as its own joint distribution and
         # summed over the coin, leaves the fringe unchanged
         model = QubitFringeModel(EQUATOR)
-        coin = CategoricalModel(np.array([0.5, 0.5]), np.zeros(2))
         for theta in np.linspace(0.0, 2.0 * math.pi, 50):
-            joint = categorical_product(coin, model.as_categorical(theta))
+            p0, dp0 = float(model.p0(theta)), float(model.zdot(theta)) / 2
+            joint = CategoricalModel(
+                np.multiply.outer([0.5, 0.5], [p0, 1.0 - p0]).ravel(),
+                np.multiply.outer([0.5, 0.5], [dp0, -dp0]).ravel())
             p_marginalized = joint.p.reshape(2, 2).sum(axis=0)[0]
-            assert abs(p_marginalized - model.p0(theta)) < 1e-14
+            assert abs(p_marginalized - p0) < 1e-14
 
 
 def test_seeded_determinism(capsys):

@@ -84,6 +84,22 @@ class TestKernels:
             AdversaryParams(a=np.array([np.nan, 0.0]), a_dot=np.zeros(2),
                             d=np.zeros((2, 2)), d_dot=np.zeros((2, 2)))
 
+    def test_checked_arrays_cannot_change(self):
+        arrays = random_params(np.random.default_rng(3), 3, 4)
+        given = [getattr(arrays, name).copy()
+                 for name in ("a", "a_dot", "d", "d_dot")]
+        params = AdversaryParams(*given)
+        expected = gamma_adv(params)
+        # the params hold their own copies: the caller's arrays stay writable
+        for values in given:
+            values[...] = np.nan
+        assert gamma_adv(params) == expected
+        for name in ("a", "a_dot", "d", "d_dot"):
+            values = getattr(params, name)
+            assert values.dtype == np.float64 and not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = np.nan
+
 
 class TestModuleFis:
     def test_uninformative_upstream(self):

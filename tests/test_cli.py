@@ -18,7 +18,7 @@ from cfii import cli, estimate, witness
 from cfii.adversary import optimize_restarts
 from cfii.cli import (_SPECS, MAX_ROWS, ConfigError, ResultTable,
                       build_config, main)
-from cfii.estimate import analytic_certification, plugin_fi, sample_binary
+from cfii.estimate import analytic_certification, certify_vk, sample_binary
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 
@@ -423,11 +423,12 @@ class TestCertifyCommand:
         assert code == 0
         table = {row[0]: float(row[1]) for row in parse_csv(out)[2]}
         model = NoisyFringeModel(GOLDEN)
-        for j, (name, theta) in enumerate([("fi_hat_end", 1.0),
-                                           ("fi_hat_seg_1", 0.5),
-                                           ("fi_hat_seg_2", 0.5)]):
-            sample = sample_binary(model, theta, 300, 5, j)
-            assert table[name] == plugin_fi(sample, model).value
+        samples = [sample_binary(model, theta, 300, 5, j)
+                   for j, theta in enumerate([1.0, 0.5, 0.5])]
+        report = certify_vk(samples[0], samples[1:], model)
+        assert [table[name] for name in (
+            "fi_hat_end", "fi_hat_seg_1", "fi_hat_seg_2")] == [
+            e.value for e in report.estimates]
 
     def test_pinned_k12_report(self, capsys):
         # 13 contexts: a pairwise (np.sum) SE would differ in the last bit

@@ -16,20 +16,17 @@ import pytest
 from cfii import adversary, cli, estimate, rng
 from cfii.adversary import (MAX_BATCH_PARAMS, MAX_LR, AdversaryParams,
                             optimize_restarts)
-from cfii.errors import (EstimationError, NonPositiveFiError,
-                         NonStochasticChannelError)
+from cfii.errors import EstimationError, NonStochasticChannelError
 from cfii.estimate import (MAX_REPS, MAX_SHOTS, ContextSample, FiEstimate,
-                           analytic_certification, analytic_mu4, certify_vk,
-                           classifier_fi, classifier_score,
-                           fi_estimate_variance, mc_rmse, mc_vk_distribution,
-                           mle_theta, sample_binary)
+                           analytic_certification, certify_vk, classifier_fi,
+                           classifier_score, mc_rmse, mc_vk_distribution,
+                           sample_binary)
 from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import (BinaryModel, CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
                          QubitPreparation)
 from cfii.rng import require_integral, require_real
-from cfii.witness import (MAX_CHAIN_K, gamma_crossing, improvement_factor,
-                          k_chain_gain)
+from cfii.witness import MAX_CHAIN_K, gamma_crossing, k_chain_gain
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02)
 NOISY = NoisyFringeModel(GOLDEN)
@@ -42,8 +39,6 @@ SITES = {
     "ContextSample.n0": ("n0", 0, 5, lambda v: ContextSample(0.1, 5, v)),
     "sample_binary.n": ("n", 1, MAX_SHOTS,
                         lambda v: sample_binary(NOISY, 0.7, v, 1)),
-    "fi_estimate_variance.n": (
-        "n", 1, None, lambda v: fi_estimate_variance(NOISY, 1.0, v)),
     "analytic_certification.n_per_context": (
         "n_per_context", 2, None,
         lambda v: analytic_certification(NOISY, T, 4, v)),
@@ -230,8 +225,6 @@ REAL_SITES = {
         "u", "(-inf, inf)", lambda v: effective_fi(np.eye(2), [1.0, v])),
     "k_chain_gain.theta_total": (
         "theta_total", "(0, inf)", lambda v: k_chain_gain(NOISY, v, 4)),
-    "improvement_factor.v": (
-        "v", "(-inf, inf)", lambda v: improvement_factor(v, 1.0)),
     "gamma_crossing.t_total": (
         "t_total", "(0, inf)", lambda v: gamma_crossing(GOLDEN, v, 4)),
     "gamma_crossing.gamma_range[0]": (
@@ -246,10 +239,6 @@ REAL_SITES = {
         "variance", "[0, inf)", lambda v: FiEstimate(1.0, v, 10)),
     "ContextSample.theta": (
         "theta", "(-inf, inf)", lambda v: ContextSample(v, 10, 5)),
-    "analytic_mu4.theta": (
-        "theta", "(-inf, inf)", lambda v: analytic_mu4(NOISY, v)),
-    "fi_estimate_variance.theta": (
-        "theta", "(-inf, inf)", lambda v: fi_estimate_variance(NOISY, v, 10)),
     "sample_binary.p0": (
         "p0", "[0, 1]", lambda v: sample_binary(_FixedP0(v), 0.7, 10, 1)),
     "analytic_certification.t_total": (
@@ -262,9 +251,6 @@ REAL_SITES = {
         "theta", "(-inf, inf)", lambda v: classifier_fi(NOISY, v)),
     "classifier_fi.delta": (
         "delta", "(0, inf)", lambda v: classifier_fi(NOISY, 1.0, v)),
-    "mle_theta.p0_hat": ("p0_hat", "[0, 1]", lambda v: mle_theta(v)),
-    "mle_theta.vartheta": (
-        "vartheta", "(-inf, inf)", lambda v: mle_theta(0.5, v)),
     "mc_rmse.theta_true": (
         "theta_true", "(-inf, inf)", lambda v: mc_rmse(IDEAL, v, 10, 10, 1)),
     "mc_rmse.vartheta": (
@@ -331,8 +317,6 @@ def test_classifier_fi_alpha_refused_by_name():
 
 # domain checks that keep their CfiiError class: site -> (class, call)
 KEPT_SITES = {
-    "improvement_factor.r_cl": (
-        NonPositiveFiError, lambda v: improvement_factor(0.1, v)),
     "coarse_grain_fi.channel": (
         NonStochasticChannelError, lambda v: coarse_grain_fi(
             CategoricalModel([0.5, 0.5], [0.1, -0.1]),

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from cfii import estimate
-from cfii.errors import (BranchWarning, DegenerateModelError, EstimationError,
+from cfii.errors import (DegenerateModelError, EstimationError,
                          NonPositiveFiError, ResistanceOverflowError)
-from cfii.estimate import (ContextSample, _plugin, _variance, _witness,
-                           analytic_certification, analytic_mu4, certify_vk,
-                           classifier_fi, classifier_score,
-                           fi_estimate_variance, mc_rmse, mc_vk_distribution,
-                           mle_theta, plugin_fi, sample_binary)
+from cfii.estimate import (ContextSample, _estimates, _mle_theta, _plugin,
+                           _variance, _witness, analytic_certification,
+                           certify_vk, classifier_fi, classifier_score,
+                           mc_rmse, mc_vk_distribution, sample_binary)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.rng import derive_rng
@@ -98,11 +97,12 @@ class TestSampling:
 
 
 class TestPluginFi:
+    """The plug-in stage, as certify_vk reports it for each context."""
+
     def test_hand_computed_value(self):
         sample = ContextSample(theta=0.9, n=5, n0=3)
-        s0 = float(NOISY.score(0, 0.9))
-        s1 = float(NOISY.score(1, 0.9))
-        est = plugin_fi(sample, NOISY)
+        s0, s1 = map(float, NOISY._moments(0.9)[:2])
+        est = certify_vk(sample, [sample], NOISY).estimates[0]
         expected = (3 * s0 ** 2 + 2 * s1 ** 2) / 5
         assert est.value == pytest.approx(expected, rel=1e-14)
         assert est.n == 5 and not est.degenerate
@@ -111,84 +111,95 @@ class TestPluginFi:
         # at the fringe node both squared scores coincide, so the plug-in
         # estimate is deterministic no matter what the counts are
         sample = sample_binary(IDEAL, T, 100, seed=9)
-        est = plugin_fi(sample, IDEAL)
+        est = certify_vk(sample, [sample], IDEAL,
+                         se_mode="analytic-moment").estimates[0]
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-15)
         # at the noisy node the two squared scores are bit-identical, so the
         # variance is exactly zero, not a rounding residue of the mean
-        assert float(NOISY.score(0, T)) ** 2 == float(NOISY.score(1, T)) ** 2
+        s0, s1 = map(float, NOISY._moments(T)[:2])
+        assert s0 ** 2 == s1 ** 2
         sample = sample_binary(NOISY, T, 1000, seed=7)
-        assert plugin_fi(sample, NOISY).variance == 0.0
+        assert certify_vk(sample, [sample], NOISY, se_mode="analytic-moment"
+                          ).estimates[0].variance == 0.0
 
     def test_zero_probability_outcome_is_refused(self):
         # theta = vartheta0 on the undamped lossless fringe: z = 1, so
         # outcome 1 never occurs and its score 0/0 is undefined
         model = NoisyFringeModel(NoisyFringeParams(0.0, 0.0, math.pi / 8))
+        sample = ContextSample(math.pi / 8, 1000, 1000)
         with pytest.raises(DegenerateModelError, match=(
                 r"^outcome 1 has zero probability; score undefined$")):
-            plugin_fi(ContextSample(math.pi / 8, 1000, 1000), model)
+            certify_vk(sample, [sample], model)
 
     def test_single_shot_is_degenerate(self):
         sample = ContextSample(theta=0.9, n=1, n0=0)
-        est = plugin_fi(sample, NOISY)
+        est = certify_vk(sample, [sample], NOISY,
+                         se_mode="analytic-moment").estimates[0]
         assert est.degenerate and est.variance == 0.0 and est.n == 1
+
+    @staticmethod
+    def plugin_values(theta, n, reps):
+        """Plug-in FIs of reps seeded n-shot samples at theta, and the
+        analytic variance (mu4 - F^2)/n of one."""
+        s0, s1, f, mu4 = NOISY._moments(theta)
+        n0 = [[sample_binary(NOISY, theta, n, seed=s).n0] for s in range(reps)]
+        return _plugin([n], n0, (s0, s1))[0][:, 0], float(_variance(f, mu4, n))
 
     def test_unbiasedness(self):
         theta = 0.6
         f = float(NOISY.fi(theta))
-        values = [plugin_fi(sample_binary(NOISY, theta, 200, seed=s),
-                            NOISY).value for s in range(400)]
-        se_mean = math.sqrt(fi_estimate_variance(NOISY, theta, 200) / 400)
+        values, variance = self.plugin_values(theta, 200, 400)
+        se_mean = math.sqrt(variance / 400)
         assert np.mean(values) == pytest.approx(f, abs=4 * se_mean)
 
     def test_variance_matches_analytic_moment(self):
-        theta = 0.6
-        values = [plugin_fi(sample_binary(NOISY, theta, 300, seed=s),
-                            NOISY).value for s in range(3000)]
-        assert np.var(values) == pytest.approx(
-            fi_estimate_variance(NOISY, theta, 300), rel=0.1)
+        values, variance = self.plugin_values(0.6, 300, 3000)
+        assert np.var(values) == pytest.approx(variance, rel=0.1)
 
 
 class TestAnalyticMoments:
     def test_mu4_equals_fi_squared_at_node(self):
         f = float(NOISY.fi(T))
-        assert analytic_mu4(NOISY, T) == pytest.approx(f * f, rel=1e-14)
+        assert NOISY._moments(T)[3] == pytest.approx(f * f, rel=1e-14)
 
     def test_mu4_direct_formula(self):
         theta = 0.8
         p0 = float(NOISY.p0(theta))
-        s0 = float(NOISY.score(0, theta))
-        s1 = float(NOISY.score(1, theta))
+        s0, s1, _, mu4 = NOISY._moments(theta)
         expected = p0 * s0 ** 4 + (1 - p0) * s1 ** 4
-        assert analytic_mu4(NOISY, theta) == pytest.approx(expected,
-                                                           rel=1e-14)
+        assert mu4 == pytest.approx(expected, rel=1e-14)
 
     def test_mu4_zero_when_uninformative(self):
         # zdot = -sin(theta) vanishes exactly at theta = 0; the
         # zero-derivative short circuit wins over the p1 = 0 degeneracy
         assert float(IDEAL.zdot(0.0)) == 0.0
-        assert analytic_mu4(IDEAL, 0.0) == 0.0
+        assert IDEAL._moments(0.0)[3] == 0.0
 
     def test_mu4_near_stationary_point_is_tiny(self):
         theta_flat = math.pi - math.atan(0.25)
         assert abs(float(NOISY.zdot(theta_flat))) < 1e-12
-        assert analytic_mu4(NOISY, theta_flat) < 1e-48
+        assert NOISY._moments(theta_flat)[3] < 1e-48
 
     def test_mu4_degenerate_point_raises(self):
         equator = QubitFringeModel(QubitPreparation(vartheta=0.3,
                                                     varphi=math.pi / 2))
         # z = -1 at theta = vartheta + pi, so outcome 0 is impossible there
         with pytest.raises(DegenerateModelError):
-            analytic_mu4(equator, 0.3 + math.pi)
+            equator._moments(0.3 + math.pi)
 
     def test_variance_refuses_an_f_whose_square_overflows(self):
+        # F is about 1e300: the variance (mu4 - F^2)/n is NaN, and the
+        # certificate refuses the F, whose F^4 overflows too
         huge = NoisyFringeModel(NoisyFringeParams(1e150, 0.02))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert analytic_mu4(huge, 1e-150) == math.inf
+            f, mu4 = huge._moments(1e-150)[2:]
+            assert math.isfinite(f) and mu4 == math.inf
+            assert math.isnan(_variance(f, mu4, 10))
             with pytest.raises(ResistanceOverflowError,
-                               match=r"^F\^2 overflows$"):
-                fi_estimate_variance(huge, 1e-150, 10)
+                               match=r"^F\^4 overflows for f_end$"):
+                analytic_certification(huge, 1e-150, 2, 10)
 
 
 class TestCertifyVk:
@@ -455,7 +466,7 @@ class TestCertifyCore:
         assert (var_hat == 0.0).all() and (se == 0.0).all()
         assert v.tolist() == [3.5, 3.5]
         assert z.tolist() == [-math.inf, -math.inf]
-        est = plugin_fi(ContextSample(theta=0.9, n=1, n0=1), NOISY)
+        est = _estimates([1], *_plugin([1], [1], NOISY._moments(0.9)[:2]))[0]
         assert est.degenerate and est.variance == 0.0
 
     def test_witness_names_the_context_whose_f4_overflows(self):
@@ -482,15 +493,17 @@ class TestCertifyCore:
                 certify_vk(endpoint, [ContextSample(5e-301, 100, 40)], huge)
             with pytest.raises(EstimationError,
                                match=r"^plug-in FI overflows$"):
-                plugin_fi(endpoint, huge)
+                _estimates([100], *_plugin([100], [40],
+                                           huge._moments(1e-300)[:2]))
             with pytest.raises(EstimationError,
                                match=r"^plug-in FI overflows$"):
                 classifier_fi(NOISY, 1.0, delta=1e-300, seed=1)
             # squares near 1e199 are finite; the square of their gap is not
+            big = NoisyFringeModel(NoisyFringeParams(1e100, 0.02))
             with pytest.raises(EstimationError,
                                match=r"^plug-in FI variance overflows$"):
-                plugin_fi(ContextSample(theta=1e-100, n=10, n0=5),
-                          NoisyFringeModel(NoisyFringeParams(1e100, 0.02)))
+                _estimates([10], *_plugin([10], [5],
+                                          big._moments(1e-100)[:2]))
 
     def test_an_unseen_outcome_adds_nothing(self):
         # its squared score overflows; a count of 0 times it is 0, not NaN
@@ -584,30 +597,23 @@ class TestClassifierFi:
 
 
 class TestMleTheta:
+    """The fringe MLE that mc_rmse runs on each replication's frequency."""
+
     def test_round_trip(self):
         theta = 0.7
         p0 = float(IDEAL.p0(theta))
-        assert mle_theta(p0) == pytest.approx(theta, abs=1e-12)
+        assert _mle_theta(p0, 0.0) == pytest.approx(theta, abs=1e-12)
 
     def test_round_trip_with_offset(self):
         prep = QubitPreparation(vartheta=0.4, varphi=math.pi / 2)
         model = QubitFringeModel(prep)
         theta = 1.9
         p0 = float(model.p0(theta))
-        assert mle_theta(p0, vartheta=0.4) == pytest.approx(theta, abs=1e-12)
+        assert _mle_theta(p0, 0.4) == pytest.approx(theta, abs=1e-12)
 
-    def test_branch_boundaries_warn_and_pin(self):
-        with pytest.warns(BranchWarning):
-            assert mle_theta(1.0, vartheta=0.3) == pytest.approx(0.3)
-        with pytest.warns(BranchWarning):
-            assert mle_theta(0.0, vartheta=0.3) == pytest.approx(
-                0.3 + math.pi)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            mle_theta(1.2)
-        with pytest.raises(ValueError):
-            mle_theta(-0.1)
+    def test_branch_boundaries_pin(self):
+        assert _mle_theta(np.array([1.0, 0.0]), 0.3).tolist() == [
+            0.3, 0.3 + math.pi]
 
 
 class TestMonteCarlo:

@@ -14,7 +14,6 @@ from cfii.errors import (NonStochasticChannelError, NotPositiveDefiniteError,
                          ResistanceOverflowError)
 from cfii.fim import coarse_grain_fi, effective_fi
 from cfii.models import CategoricalModel, categorical_fi
-from cfii.witness import improvement_factor
 from fim_reference import (equicorrelated_effective_fi, equicorrelated_matrix,
                            synergy_effective_fi, synergy_window)
 
@@ -147,10 +146,16 @@ class TestScaleEdges:
         # eigenvalues -1e-200 and 3e-200, as [[1, 2], [2, 1]] scaled down
         ([[1e-200, 2e-200], [2e-200, 1e-200]], ONES2,
          (NotPositiveDefiniteError, "^matrix has an eigenvalue below")),
+        # F_eff is 1e308 and 1.25e308, but the top eigenvalue 2e308 and
+        # 2.5e308 is inf, which would make the cutoff drop every eigenvalue
+        ([[1e308, 1e308], [1e308, 1e308]], ONES2,
+         (ResistanceOverflowError, "^an eigenvalue of F overflows$")),
+        ([[1.5e308, 1e308], [1e308, 1.5e308]], ONES2,
+         (ResistanceOverflowError, "^an eigenvalue of F overflows$")),
     ], ids=["tiny-direction", "huge-direction-outside-row-space",
             "huge-direction", "empty", "tiny-asymmetric",
             "tiny-asymmetric-transposed", "huge-nearly-symmetric",
-            "tiny-indefinite"])
+            "tiny-indefinite", "huge-rank-one", "huge-full-rank"])
     def test_scale_edge(self, mat, u, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -327,13 +332,12 @@ class TestExtremeFiniteInputs:
     RuntimeWarning on the way."""
 
     @pytest.mark.parametrize("call, match", [
-        (lambda: improvement_factor(1e308, 1e308), r"^r_cl \+ v overflows$"),
         # 5e-321 is the true F_eff, not the 0.0 of a lost direction
         (lambda: effective_fi(np.eye(2) * 1e-320, ONES2),
          r"^u\^T F\^\+ u overflows$"),
         (lambda: effective_fi(np.eye(2) * 1e300, [1e-150, 0.0]),
          r"^1/\(u\^T F\^\+ u\) overflows$"),
-    ], ids=["improvement_factor", "effective_fi-subnormal", "effective_fi-huge"])
+    ], ids=["effective_fi-subnormal", "effective_fi-huge"])
     def test_overflow_refused(self, call, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfii.errors import CfiiError, DegenerateModelError
-from cfii.estimate import analytic_certification
+from cfii.estimate import ContextSample, analytic_certification, certify_vk
 from cfii.models import (CategoricalModel, NoisyFringeModel,
                          NoisyFringeParams, QubitFringeModel,
-                         QubitPreparation, categorical_fi,
-                         categorical_product)
+                         QubitPreparation, categorical_fi)
 from cfii.witness import k_chain_gain, split_optimized_benchmark
 
 IDEAL = QubitPreparation(vartheta=0.0, varphi=math.pi / 2)
@@ -188,10 +187,12 @@ class TestNoisyFringe:
 
 
 class TestScores:
+    """The scores (s0, s1) that _moments gives, d ln p_x / d theta."""
+
     def test_mid_fringe_symmetry(self):
-        model = QubitFringeModel(IDEAL)
-        assert model.score(0, math.pi / 2) == pytest.approx(-1.0, abs=1e-12)
-        assert model.score(1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        s0, s1 = QubitFringeModel(IDEAL)._moments(math.pi / 2)[:2]
+        assert s0 == pytest.approx(-1.0, abs=1e-12)
+        assert s1 == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_score_fd_oracle(self):
         model = NoisyFringeModel(GOLDEN)
@@ -199,21 +200,20 @@ class TestScores:
         theta = math.pi / 8
         fd = (math.log(float(model.p0(theta + h)))
               - math.log(float(model.p0(theta - h)))) / (2 * h)
-        assert model.score(0, theta) == pytest.approx(fd, rel=1e-6)
-        assert model.score(0, theta) == pytest.approx(
-            -0.2960218719935285, abs=1e-14)
+        s0 = model._moments(theta)[0]
+        assert s0 == pytest.approx(fd, rel=1e-6)
+        assert s0 == pytest.approx(-0.2960218719935285, abs=1e-14)
 
     def test_degenerate_probability_raises(self):
-        model = QubitFringeModel(QubitPreparation(vartheta=0.3,
-                                                  varphi=math.pi / 2))
-        # z = 1 at theta = vartheta, so outcome 1 has zero probability
-        with pytest.raises(DegenerateModelError):
-            model.score(1, 0.3)
-
-    def test_invalid_outcome(self):
         model = QubitFringeModel(IDEAL)
-        with pytest.raises(ValueError):
-            model.score(2, 1.0)
+        # z = 1 at theta = 0, so outcome 1 has zero probability: its score
+        # 0/0 is NaN, and the plug-in stage refuses it
+        s0, s1 = model._moments(0.0)[:2]
+        assert s0 == 0.0 and math.isnan(s1)
+        sample = ContextSample(theta=0.0, n=10, n0=10)
+        with pytest.raises(DegenerateModelError, match=(
+                r"^outcome 1 has zero probability; score undefined$")):
+            certify_vk(sample, [sample], model)
 
 
 class TestCategorical:
@@ -223,7 +223,8 @@ class TestCategorical:
 
     def test_embedded_binary_fringe(self):
         binary = QubitFringeModel(IDEAL)
-        cat = binary.as_categorical(1.234)
+        p0, zdot = float(binary.p0(1.234)), float(binary.zdot(1.234))
+        cat = CategoricalModel([p0, 1.0 - p0], [zdot / 2, -zdot / 2])
         assert categorical_fi(cat) == pytest.approx(1.0, abs=1e-12)
 
     def test_five_outcome_fd_oracle(self):
@@ -266,10 +267,32 @@ class TestCategorical:
         with pytest.raises(ValueError, match="^p and pdot must be 1-D arrays"):
             CategoricalModel(np.array([0.5, 0.5]), np.array([0.0, 0.0, 0.0]))
 
+    def test_checked_arrays_cannot_change(self):
+        p, pdot = np.array([0.5, 0.5]), np.array([0.1, -0.1])
+        model = CategoricalModel(p, pdot)
+        # the model holds its own copies: the caller's arrays stay writable
+        p[:] = [2.0, -1.0]
+        pdot[:] = np.nan
+        assert categorical_fi(model) == pytest.approx(0.04, rel=1e-15)
+        for values in (model.p, model.pdot):
+            assert values.dtype == np.float64 and not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 2.0
+        with pytest.raises(AttributeError):
+            model.p = np.array([2.0, -1.0])
+
     def test_product_additivity(self):
-        m1 = NoisyFringeModel(GOLDEN).as_categorical(0.8)
-        m2 = QubitFringeModel(TILTED).as_categorical(1.1)
-        joint = categorical_product(m1, m2)
+        noisy, tilted = NoisyFringeModel(GOLDEN), QubitFringeModel(TILTED)
+        p, q = float(noisy.p0(0.8)), float(tilted.p0(1.1))
+        dp, dq = float(noisy.zdot(0.8)) / 2, float(tilted.zdot(1.1)) / 2
+        m1 = CategoricalModel([p, 1.0 - p], [dp, -dp])
+        m2 = CategoricalModel([q, 1.0 - q], [dq, -dq])
+        # independent components: p(x, y) = p1(x) p2(y), differentiated by
+        # the product rule
+        outer = np.multiply.outer
+        joint = CategoricalModel(
+            outer(m1.p, m2.p).ravel(),
+            (outer(m1.pdot, m2.p) + outer(m1.p, m2.pdot)).ravel())
         assert joint.m == 4
         assert categorical_fi(joint) == pytest.approx(
             categorical_fi(m1) + categorical_fi(m2), abs=1e-10)
@@ -293,8 +316,7 @@ class TestBinaryModelInvariants:
         assert p0 + p1 == 1.0
         if min(p0, p1) < 1e-6:
             return  # scores blow up at near-deterministic points
-        s0 = float(model.score(0, theta))
-        s1 = float(model.score(1, theta))
+        s0, s1 = map(float, model._moments(theta)[:2])
         assert abs(p0 * s0 + p1 * s1) < 1e-12
 
     @given(theta=ANGLES, prep=PREPS)
@@ -307,8 +329,7 @@ class TestBinaryModelInvariants:
         # agreement grows like 1/(p0 p1); 1e-3 keeps it below the 1e-12 claim
         if min(p0, p1) < 1e-3:
             return
-        s0 = float(model.score(0, theta))
-        s1 = float(model.score(1, theta))
+        s0, s1 = map(float, model._moments(theta)[:2])
         assert float(model.fi(theta)) == pytest.approx(
             p0 * s0 ** 2 + p1 * s1 ** 2, rel=1e-12, abs=1e-12)
 
@@ -323,8 +344,7 @@ class TestBinaryModelInvariants:
         assert p0 + p1 == 1.0
         if min(p0, p1) < 1e-3:
             return  # see the fringe-extreme roundoff note above
-        s0 = float(model.score(0, theta))
-        s1 = float(model.score(1, theta))
+        s0, s1 = map(float, model._moments(theta)[:2])
         assert abs(p0 * s0 + p1 * s1) < 1e-12
         assert float(model.fi(theta)) == pytest.approx(
             p0 * s0 ** 2 + p1 * s1 ** 2, rel=1e-12, abs=1e-12)

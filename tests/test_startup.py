@@ -98,6 +98,43 @@ class TestLazyLayers:
             "cfii.adversary\n"
             "module 'cfii' has no attribute 'no_such_name'\n")
 
+    def test_public_surface_is_pinned(self):
+        # a name added to or dropped from the package is a deliberate edit
+        # of this list
+        assert cfii.__all__ == [
+            "__version__", "CfiiError", "DegenerateModelError",
+            "NonPositiveFiError", "NotPositiveDefiniteError",
+            "NonStochasticChannelError", "OptimizationError",
+            "NoCrossingError", "DegenerateBenchmarkError", "EstimationError",
+            "ResistanceOverflowError", "derive_rng", "QubitPreparation",
+            "NoisyFringeParams", "BinaryModel", "QubitFringeModel",
+            "NoisyFringeModel", "CategoricalModel", "categorical_fi",
+            "effective_fi", "coarse_grain_fi", "WitnessReport", "v_path",
+            "v_chain", "classical_benchmark_path", "gain_indicator",
+            "split_optimized_benchmark", "k_chain_gain", "gamma_crossing",
+            "nsit_separation_demo", "ContextSample", "FiEstimate",
+            "CertificationReport", "sample_binary", "certify_vk",
+            "analytic_certification", "classifier_score", "classifier_fi",
+            "mc_rmse", "mc_vk_distribution", "AdversaryParams",
+            "OptimizeResult", "gamma_adv", "gamma_adv_gradient",
+            "optimize_restarts"]
+
+    @pytest.mark.parametrize("owner, name", [
+        ("models.BinaryModel", "score"),
+        ("models.BinaryModel", "as_categorical"),
+        ("models", "categorical_product"), ("witness", "improvement_factor"),
+        ("estimate", "plugin_fi"), ("estimate", "analytic_mu4"),
+        ("estimate", "fi_estimate_variance"), ("estimate", "mle_theta"),
+        ("errors", "BranchWarning")])
+    def test_second_paths_are_gone(self, owner, name):
+        # each formula has one path: the one these names repeated stays
+        obj = cfii
+        for part in owner.split("."):
+            obj = getattr(obj, part)
+        for where in (cfii, obj):
+            with pytest.raises(AttributeError):
+                getattr(where, name)
+
     def test_a_patched_attribute_shows_through_the_package(self,
                                                            monkeypatch):
         def sentinel():

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cfii.errors import (DegenerateBenchmarkError, NoCrossingError,
-                         NonPositiveFiError, OptimizationError,
-                         ResistanceOverflowError)
+from cfii.errors import (NoCrossingError, NonPositiveFiError,
+                         OptimizationError, ResistanceOverflowError)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.witness import (classical_benchmark_path, gain_indicator,
-                          gamma_crossing, improvement_factor, k_chain_gain,
-                          nsit_separation_demo, split_optimized_benchmark,
-                          v_chain, v_path)
+                          gamma_crossing, k_chain_gain, nsit_separation_demo,
+                          split_optimized_benchmark, v_chain, v_path)
 from cfii.witness import _nsit_holds
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
@@ -88,13 +86,15 @@ class TestBenchmarkAndIndicators:
         assert gain_indicator(0.5, 1.0) > 0.0
 
     def test_improvement_factor_deterministic_point(self):
-        assert improvement_factor(-1.0, 2.0) == pytest.approx(2.0, abs=1e-15)
-
-    def test_improvement_factor_errors(self):
-        with pytest.raises(NonPositiveFiError):
-            improvement_factor(-1.0, 0.0)
-        with pytest.raises(DegenerateBenchmarkError):
-            improvement_factor(-2.0, 2.0)
+        # R_cl / (R_cl + V) is the report's F_end / F_benchmark: at the
+        # equator every FI is 1, so R_cl = 2, V = -1 and the factor is 2
+        report = k_chain_gain(IDEAL_MODEL, 1.0, 2)
+        r_cl = 1.0 / report.f_benchmark
+        assert (r_cl, report.v) == (pytest.approx(2.0, abs=1e-15),
+                                    pytest.approx(-1.0, abs=1e-15))
+        assert report.gamma_ratio == pytest.approx(r_cl / (r_cl + report.v),
+                                                   rel=1e-15)
+        assert report.gamma_ratio == pytest.approx(2.0, abs=1e-15)
 
 
 class TestArrayArguments:
@@ -521,6 +521,13 @@ class TestGammaCrossing:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             gamma_crossing(GOLDEN, T, 1)
+
+    @pytest.mark.parametrize("gamma_range", [(0.0,), 1.0, (0.0, 1.0, 5.0)],
+                             ids=["one", "scalar", "three"])
+    def test_gamma_range_must_be_a_pair(self, gamma_range):
+        with pytest.raises(ValueError, match=(
+                r"^gamma_range must be a \(lo, hi\) pair, got ")):
+            gamma_crossing(GOLDEN, T, 4, gamma_range)
 
 
 class TestNsitSeparationDemo:
