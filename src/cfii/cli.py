@@ -445,9 +445,9 @@ def _certify_point(config: ExperimentConfig) -> ResultTable:
     return _quantities({
         "v_hat": report.v_hat, "se": report.se, "z": report.z,
         "ci95_lo": report.ci95[0], "ci95_hi": report.ci95[1],
-        "fi_hat_end": report.estimates[0].value,
-        **{f"fi_hat_seg_{j}": e.value
-           for j, e in enumerate(report.estimates[1:], start=1)},
+        "fi_hat_end": report.f_end,
+        **{f"fi_hat_seg_{j}": f
+           for j, f in enumerate(report.f_segments.tolist(), start=1)},
         "v_analytic": expected.v_hat, "se_analytic": expected.se,
         "z_analytic": expected.z,
     })

@@ -7,22 +7,22 @@ witness estimate V_hat = 1/F_hat(end) - sum_j 1/F_hat(segment j), its
 delta-method SE^2 = sum_s Var_s/F_s^4 and Z = -V_hat/SE, the number of SEs
 the witness sits below the classical boundary.  The variances are the
 plug-in ones ("empirical" mode) or the analytic (mu4 - F^2)/n, with
-mu4 = sum_x p_x s_x^4 ("analytic-moment" mode).  The analytic certification
+mu4 = sum_x p_x s_x^4 ("analytic-moment" mode).  A report holds the K
+segments' FIs and variances on the last axis.  The analytic certification
 of an equal-partition chain also takes a model over an array of rates: one
-K = 10**6 chain takes about 0.06 s and 40 MB, and 10**5 rates at K = 4 about
-0.08 s and 30 MB (2-vCPU box, above the import).
+K = 10**6 chain takes about 0.04 s and 40 MB, and 10**5 rates at K = 4 about
+0.04 s and 36 MB (2-vCPU box, above the import).
 
-Also here: the smoothed two-class classifier score (a finite-difference
-log-likelihood-ratio estimate), a closed-form MLE for the binary fringe, and
-seeded Monte-Carlo experiments for RMSE achievability and the sampling
-distribution of V_hat.
+Also here: the smoothed two-class classifier score, a closed-form MLE for
+the binary fringe, and seeded Monte-Carlo experiments for RMSE
+achievability and the sampling distribution of V_hat.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,12 +64,11 @@ class ContextSample:
 
 @dataclass(frozen=True)
 class FiEstimate:
-    """Plug-in FI estimate with an estimate of its own variance."""
+    """Plug-in FI estimate of n shots with an estimate of its variance."""
 
     value: float
     variance: float
     n: int
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         require_real(self.value, "value", 0)
@@ -78,12 +77,19 @@ class FiEstimate:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Witness estimate with delta-method error bar and significance."""
+    """Witness estimate with delta-method error bar and significance, and each
+    context's plug-in FI and variance: floats, or columns of the rates' shape.
+    The K segments lie on the last axis: f_segments and var_segments are
+    read-only (*rates, K) float64 arrays, and v_chain(f_end, f_segments) ==
+    v_hat.  A report that holds arrays supports neither == nor hash."""
 
-    v_hat: float
-    se: float
-    z: float
-    estimates: tuple[FiEstimate, ...]
+    v_hat: float | np.ndarray
+    se: float | np.ndarray
+    z: float | np.ndarray
+    f_end: float | np.ndarray
+    var_end: float | np.ndarray
+    f_segments: np.ndarray
+    var_segments: np.ndarray
     mode: str
 
     @property
@@ -117,8 +123,8 @@ def _plugin(n, n0, scores):
     _require_scores(scores)
     n, n0 = np.asarray(n, dtype=float), np.asarray(n0, dtype=float)
     n1 = n - n0
-    # a square past the largest float is inf, as in models.py; _estimates
-    # and v_chain refuse it.  An outcome never seen adds 0, not 0 * inf
+    # a square past the largest float is inf, as in models.py; v_chain and
+    # _require_finite refuse it.  An outcome never seen adds 0, not 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
         sq0, sq1 = (s * s for s in scores)
         # two-valued data: the sum of squared deviations is n0 n1 (sq0 -
@@ -172,19 +178,14 @@ def _witness(f_hat, f, var):
     return v, se, z
 
 
-def _estimates(n, f_hat, var_hat) -> tuple[FiEstimate, ...]:
-    """FiEstimate of each context of one experiment; equal estimates share
-    one object, so a long chain holds few."""
+def _require_finite(f_hat, var_hat) -> None:
+    """Refuse a plug-in FI or variance that overflowed."""
     for name, x in (("FI", f_hat), ("FI variance", var_hat)):
         if not np.isfinite(x).all():
             raise EstimationError(f"plug-in {name} overflows")
-    keys = list(zip(f_hat.tolist(), var_hat.tolist(), n))
-    made = {key: FiEstimate(*key, degenerate=key[2] == 1)
-            for key in dict.fromkeys(keys)}
-    return tuple(made[key] for key in keys)
 
 
-def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
+def certify_vk(endpoint: ContextSample, segments: Iterable[ContextSample],
                model: BinaryModel,
                se_mode: str = "empirical") -> CertificationReport:
     """Estimate the chain witness from sampled contexts of one model and
@@ -195,11 +196,11 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
     moments at each context angle.  The model is evaluated once, on the
     array of context angles.
     """
-    if len(segments) == 0:
+    contexts = [endpoint, *segments]
+    if len(contexts) == 1:
         raise EstimationError("need at least one segment context")
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
-    contexts = [endpoint, *segments]
     s0, s1, f, mu4 = model._moments(np.array([s.theta for s in contexts]))
     n = [s.n for s in contexts]
     f_hat, var_hat = _plugin(n, [s.n0 for s in contexts], (s0, s1))
@@ -209,8 +210,10 @@ def certify_vk(endpoint: ContextSample, segments: Sequence[ContextSample],
         v, se, z = map(float, _witness(f_hat, f_hat, var_hat))
         if se == 0.0:
             raise EstimationError("empirical SE is 0: significance undefined")
-    return CertificationReport(v, se, z, _estimates(n, f_hat, var_hat),
-                               se_mode)
+    _require_finite(f_hat, var_hat)
+    f_hat.flags.writeable = var_hat.flags.writeable = False
+    return CertificationReport(v, se, z, float(f_hat[0]), float(var_hat[0]),
+                               f_hat[1:], var_hat[1:], se_mode)
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -235,23 +238,21 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     # then each row's variances: (rows, angles) each
     f, mu4 = (moments[:, 2:].reshape(2, 2, -1) * ones.ravel()).transpose(
         1, 2, 0)
-    n = (shots.astype(np.int64) * ones.astype(np.int64)).ravel()
-    var = _variance(f, mu4, n[:, None])
-    columns = np.empty((3, n.size))  # v, se and z
+    var = _variance(f, mu4, (shots * ones).reshape(-1, 1))
+    columns = np.empty((3, len(f)))  # v, se and z
     # blocks of rows whose chains, C-contiguous and of at most _CHAIN_BLOCK
     # entries, sum and cumsum each row as they would that row alone
     step = max(1, _CHAIN_BLOCK // (k + 1))
-    for i in range(0, n.size, step):
+    for i in range(0, len(f), step):
         f_rows, var_rows = (x[i:i + step].repeat([1, k], axis=-1)
                             for x in (f, var))
         columns[:, i:i + step] = _witness(f_rows, f_rows, var_rows)
-    # a scalar rate and shot count get the Python numbers of one report
-    v, se, z, f_end, f_seg, var_end, var_seg, n = (
-        col.reshape(shape) if shape else col.item()
-        for col in (*columns, *f.T, *var.T, n))
+    # one rate gets Python floats, and the K segments view each row's value
     return CertificationReport(
-        v, se, z, (FiEstimate(f_end, var_end, n),)
-        + (FiEstimate(f_seg, var_seg, n),) * k, "analytic-moment")
+        *(col.reshape(shape) if shape else col.item()
+          for col in (*columns, f[:, 0], var[:, 0])),
+        *(np.broadcast_to(x[:, 1:].reshape(*shape, 1), (*shape, k))
+          for x in (f, var)), "analytic-moment")
 
 
 def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int],
@@ -293,18 +294,17 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
     delta = require_real(delta, "delta", 0, bounds="(]")
     n_train = require_integral(n_train, "n_train", 1)
     n_eval = require_integral(n_eval, "n_eval", 1)
-    rng_p = derive_rng(seed, _TAG_CLASSIFIER, 0)
-    rng_m = derive_rng(seed, _TAG_CLASSIFIER, 1)
-    rng_e = derive_rng(seed, _TAG_CLASSIFIER, 2)
+    rng_p, rng_m, rng_e = (derive_rng(seed, _TAG_CLASSIFIER, j)
+                           for j in range(3))
 
     n1_p = int(rng_p.binomial(n_train, float(model.p1(theta + delta))))
     n1_m = int(rng_m.binomial(n_train, float(model.p1(theta - delta))))
     s0, s1 = classifier_score((n_train - n1_p, n1_p),
                               (n_train - n1_m, n1_m), delta, alpha)
-
     n1_e = int(rng_e.binomial(n_eval, float(model.p1(theta))))
-    n = [n_eval]
-    return _estimates(n, *_plugin(n, [n_eval - n1_e], (s0, s1)))[0]
+    f_hat, var_hat = _plugin([n_eval], [n_eval - n1_e], (s0, s1))
+    _require_finite(f_hat, var_hat)
+    return FiEstimate(float(f_hat[0]), float(var_hat[0]), n_eval)
 
 
 def _mle_theta(p0_hat, vartheta: float):

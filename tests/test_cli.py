@@ -428,7 +428,7 @@ class TestCertifyCommand:
         report = certify_vk(samples[0], samples[1:], model)
         assert [table[name] for name in (
             "fi_hat_end", "fi_hat_seg_1", "fi_hat_seg_2")] == [
-            e.value for e in report.estimates]
+            report.f_end, *report.f_segments.tolist()]
 
     def test_pinned_k12_report(self, capsys):
         # 13 contexts: a pairwise (np.sum) SE would differ in the last bit

@@ -1,7 +1,9 @@
 """Tests for finite-shot estimation, certification, and Monte-Carlo
 experiments."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,10 +12,10 @@ import pytest
 from cfii import estimate
 from cfii.errors import (DegenerateModelError, EstimationError,
                          NonPositiveFiError, ResistanceOverflowError)
-from cfii.estimate import (ContextSample, _estimates, _mle_theta, _plugin,
-                           _variance, _witness, analytic_certification,
-                           certify_vk, classifier_fi, classifier_score,
-                           mc_rmse, mc_vk_distribution, sample_binary)
+from cfii.estimate import (ContextSample, _mle_theta, _plugin, _variance,
+                           _witness, analytic_certification, certify_vk,
+                           classifier_fi, classifier_score, mc_rmse,
+                           mc_vk_distribution, sample_binary)
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.rng import derive_rng
@@ -37,6 +39,13 @@ def counting_fringe(calls, params=GOLDEN):
             calls.append(("zdot", theta))
             return super().zdot(theta)
     return CountingFringe(params)
+
+
+def fields(report):
+    """Each field of a certification report as plain Python values: a report
+    that holds arrays supports no ==."""
+    return [np.asarray(getattr(report, field.name)).tolist()
+            for field in dataclasses.fields(report)]
 
 
 class TestSampling:
@@ -102,26 +111,26 @@ class TestPluginFi:
     def test_hand_computed_value(self):
         sample = ContextSample(theta=0.9, n=5, n0=3)
         s0, s1 = map(float, NOISY._moments(0.9)[:2])
-        est = certify_vk(sample, [sample], NOISY).estimates[0]
+        report = certify_vk(sample, [sample], NOISY)
         expected = (3 * s0 ** 2 + 2 * s1 ** 2) / 5
-        assert est.value == pytest.approx(expected, rel=1e-14)
-        assert est.n == 5 and not est.degenerate
+        assert report.f_end == pytest.approx(expected, rel=1e-14)
+        assert report.f_segments.tolist() == [report.f_end]
 
     def test_mid_fringe_has_zero_variance(self):
         # at the fringe node both squared scores coincide, so the plug-in
         # estimate is deterministic no matter what the counts are
         sample = sample_binary(IDEAL, T, 100, seed=9)
-        est = certify_vk(sample, [sample], IDEAL,
-                         se_mode="analytic-moment").estimates[0]
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.variance == pytest.approx(0.0, abs=1e-15)
+        report = certify_vk(sample, [sample], IDEAL,
+                            se_mode="analytic-moment")
+        assert report.f_end == pytest.approx(1.0, abs=1e-12)
+        assert report.var_end == pytest.approx(0.0, abs=1e-15)
         # at the noisy node the two squared scores are bit-identical, so the
         # variance is exactly zero, not a rounding residue of the mean
         s0, s1 = map(float, NOISY._moments(T)[:2])
         assert s0 ** 2 == s1 ** 2
         sample = sample_binary(NOISY, T, 1000, seed=7)
         assert certify_vk(sample, [sample], NOISY, se_mode="analytic-moment"
-                          ).estimates[0].variance == 0.0
+                          ).var_end == 0.0
 
     def test_zero_probability_outcome_is_refused(self):
         # theta = vartheta0 on the undamped lossless fringe: z = 1, so
@@ -134,9 +143,9 @@ class TestPluginFi:
 
     def test_single_shot_is_degenerate(self):
         sample = ContextSample(theta=0.9, n=1, n0=0)
-        est = certify_vk(sample, [sample], NOISY,
-                         se_mode="analytic-moment").estimates[0]
-        assert est.degenerate and est.variance == 0.0 and est.n == 1
+        report = certify_vk(sample, [sample], NOISY,
+                            se_mode="analytic-moment")
+        assert report.var_end == 0.0 and report.var_segments.tolist() == [0.0]
 
     @staticmethod
     def plugin_values(theta, n, reps):
@@ -245,9 +254,9 @@ class TestCertifyVk:
             calls.clear()
             report = certify_vk(endpoint, segments, model, se_mode=se_mode)
             counts.append(len(calls))
-            assert len(report.estimates) == k + 1
-            assert report == certify_vk(endpoint, segments, NOISY,
-                                        se_mode=se_mode)
+            assert report.f_segments.shape == (k,)
+            assert fields(report) == fields(certify_vk(
+                endpoint, segments, NOISY, se_mode=se_mode))
         # one z and one zdot call on the array of angles, in either mode
         assert counts[0] == counts[1] == 2
 
@@ -257,6 +266,14 @@ class TestCertifyVk:
             certify_vk(endpoint, [], NOISY)
         with pytest.raises(ValueError):
             certify_vk(endpoint, segments, NOISY, se_mode="bogus")
+
+    def test_segments_may_be_any_iterable(self):
+        endpoint, segments = self._golden_contexts()
+        report = certify_vk(endpoint, (s for s in segments), NOISY)
+        assert fields(report) == fields(certify_vk(endpoint, segments, NOISY))
+        with pytest.raises(EstimationError,
+                           match="^need at least one segment context$"):
+            certify_vk(endpoint, iter(()), NOISY)
 
 
 class TestAnalyticCertification:
@@ -286,8 +303,8 @@ class TestAnalyticCertification:
         for k in (2.5, math.nan, "4", 10 ** 6 + 1):
             with pytest.raises(ValueError):
                 analytic_certification(NOISY, T, k, 100)
-        assert (analytic_certification(NOISY, T, 4.0, 100)
-                == analytic_certification(NOISY, T, 4, 100))
+        assert (fields(analytic_certification(NOISY, T, 4.0, 100))
+                == fields(analytic_certification(NOISY, T, 4, 100)))
 
     def test_fi_evaluations_do_not_grow_with_k(self):
         # an equal partition has two distinct angles, whatever K is, and
@@ -302,8 +319,8 @@ class TestAnalyticCertification:
         cert = analytic_certification(model, T, k, 1000)
         assert sorted(calls) == sorted(
             [("z", T), ("zdot", T), ("z", T / k), ("zdot", T / k)])
-        assert [e.value for e in cert.estimates] == (
-            [float(NOISY.fi(T))] + [f_segment] * k)
+        assert cert.f_end == float(NOISY.fi(T))
+        assert np.array_equal(cert.f_segments, [f_segment] * k)
 
     @pytest.mark.parametrize("rates", [3, 50])
     def test_fi_evaluations_do_not_grow_with_the_rates(self, rates):
@@ -324,10 +341,10 @@ class TestAnalyticCertification:
         report = analytic_certification(NOISY, T, 4, 1000)
         assert all(type(x) is float for x in (
             report.v_hat, report.se, report.z, *report.ci95))
-        for estimate in report.estimates:
-            assert (type(estimate.value), type(estimate.variance),
-                    type(estimate.n), estimate.degenerate) == (
-                float, float, int, False)
+        assert type(report.f_end) is type(report.var_end) is float
+        for column in (report.f_segments, report.var_segments):
+            assert (type(column), column.dtype, column.shape) == (
+                np.ndarray, np.float64, (4,))
 
     @pytest.mark.parametrize("k", [2, 7, 64, 1000, 3313])
     def test_rate_columns_equal_one_rate_reports(self, k):
@@ -338,18 +355,19 @@ class TestAnalyticCertification:
         report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
             gamma=gammas, epsilon_r=eps_r)), t_total, k, shots)
         assert report.mode == "analytic-moment"
-        assert len(report.estimates) == k + 1
+        assert report.f_segments.shape == report.var_segments.shape == (
+            gammas.size, k)
         for i, (gamma, n) in enumerate(zip(gammas.tolist(), shots.tolist())):
             one = analytic_certification(NoisyFringeModel(NoisyFringeParams(
                 gamma=gamma, epsilon_r=eps_r)), t_total, k, n)
             assert (report.v_hat[i], report.se[i], report.z[i],
                     report.ci95[0][i], report.ci95[1][i]) == (
                 one.v_hat, one.se, one.z, *one.ci95)
-            for column, estimate in zip(report.estimates, one.estimates):
-                assert (column.value[i], column.variance[i], column.n[i],
-                        column.degenerate) == (
-                    estimate.value, estimate.variance, estimate.n,
-                    estimate.degenerate)
+            assert (report.f_end[i], report.var_end[i],
+                    report.f_segments[i].tolist(),
+                    report.var_segments[i].tolist()) == (
+                one.f_end, one.var_end, one.f_segments.tolist(),
+                one.var_segments.tolist())
 
     def test_shot_columns_of_one_rate(self):
         # a scalar-rate model with a shot count per row broadcasts
@@ -399,6 +417,61 @@ class TestAnalyticCertification:
                 analytic_certification(rates, T, 4, np.array(shots))
         with pytest.raises(ValueError):  # 2 shot counts for 3 rates
             analytic_certification(rates, T, 4, np.array([5, 6]))
+
+
+class TestReportLayout:
+    """A certification report keeps the endpoint apart and the K segments on
+    the last axis, as a WitnessReport does."""
+
+    @staticmethod
+    def sampled(se_mode, k=5):
+        contexts = estimate._sample_contexts(
+            NOISY, [T] + [T / k] * k, 100, 3, [(j,) for j in range(k + 1)])
+        return certify_vk(contexts[0], contexts[1:], NOISY, se_mode=se_mode)
+
+    @pytest.mark.parametrize("se_mode", ["empirical", "analytic-moment"])
+    def test_sampled_segments_are_read_only(self, se_mode):
+        report = self.sampled(se_mode)
+        for column in (report.f_segments, report.var_segments):
+            assert column.shape == (5,) and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+    @pytest.mark.parametrize("gamma", [0.25, np.linspace(0.0, 0.6, 3)])
+    def test_analytic_segments_are_zero_stride_views(self, gamma):
+        report = analytic_certification(
+            NoisyFringeModel(NoisyFringeParams(gamma, 0.02)), T, 6, 1000)
+        for column in (report.f_segments, report.var_segments):
+            assert column.shape == np.shape(gamma) + (6,)
+            assert column.strides[-1] == 0 and not column.flags.writeable
+
+    @pytest.mark.parametrize("se_mode", ["empirical", "analytic-moment"])
+    def test_sampled_segments_give_the_witness(self, se_mode):
+        report = self.sampled(se_mode, k=12)
+        assert v_chain(report.f_end, report.f_segments) == report.v_hat
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 1000, 3313])
+    def test_analytic_segments_give_the_witness(self, k):
+        rng = np.random.default_rng(k)
+        gammas = rng.uniform(0.0, 1.5, size=12)
+        shots = rng.integers(2, 10 ** 7, size=gammas.size)
+        report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=rng.uniform(0.0, 0.3))), T, k, shots)
+        assert np.array_equal(v_chain(report.f_end, report.f_segments),
+                              report.v_hat)
+
+    def test_a_million_segments_hold_no_per_segment_object(self):
+        # the report holds the endpoint and one segment value: well under
+        # the 8 bytes per segment that a reference to each would take
+        tracemalloc.start()
+        try:
+            report = analytic_certification(NOISY, T, 10 ** 6, 1000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.f_segments.shape == (10 ** 6,)
+        assert report.f_segments.strides == report.var_segments.strides == (0,)
+        assert held < 2 ** 20
 
 
 def reference_row(n0, n, s0, s1, moments=None):
@@ -466,8 +539,10 @@ class TestCertifyCore:
         assert (var_hat == 0.0).all() and (se == 0.0).all()
         assert v.tolist() == [3.5, 3.5]
         assert z.tolist() == [-math.inf, -math.inf]
-        est = _estimates([1], *_plugin([1], [1], NOISY._moments(0.9)[:2]))[0]
-        assert est.degenerate and est.variance == 0.0
+        with pytest.raises(EstimationError,
+                           match="^empirical SE is 0: significance undefined$"):
+            certify_vk(ContextSample(0.9, 1, 1), [ContextSample(0.45, 1, 0)],
+                       NOISY)
 
     def test_witness_names_the_context_whose_f4_overflows(self):
         # 1e-80 inverts to 1e80, but its fourth power is subnormal
@@ -493,17 +568,29 @@ class TestCertifyCore:
                 certify_vk(endpoint, [ContextSample(5e-301, 100, 40)], huge)
             with pytest.raises(EstimationError,
                                match=r"^plug-in FI overflows$"):
-                _estimates([100], *_plugin([100], [40],
-                                           huge._moments(1e-300)[:2]))
-            with pytest.raises(EstimationError,
-                               match=r"^plug-in FI overflows$"):
                 classifier_fi(NOISY, 1.0, delta=1e-300, seed=1)
-            # squares near 1e199 are finite; the square of their gap is not
-            big = NoisyFringeModel(NoisyFringeParams(1e100, 0.02))
+            # squared scores near 1e293 are finite; the square of their gap
+            # is not
             with pytest.raises(EstimationError,
                                match=r"^plug-in FI variance overflows$"):
-                _estimates([10], *_plugin([10], [5],
-                                          big._moments(1e-100)[:2]))
+                classifier_fi(NOISY, 1.0, delta=1e-150, seed=1)
+
+    def test_a_plug_in_variance_past_the_largest_float_is_refused(self):
+        # no fringe scores an outcome past 1e154 with F^4 finite, so
+        # scores of 1e100 and 0 with F = mu4 = 1 stand in: F_hat is 5e199,
+        # while 25 (1e200)^2 overflows
+        class FixedScores(NoisyFringeModel):
+            def _moments(self, theta):
+                ones = np.ones(np.shape(theta))
+                return 1e100 * ones, 0.0 * ones, ones, ones
+
+        contexts = [ContextSample(T, 10, 5), ContextSample(T / 2, 10, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError,
+                               match=r"^plug-in FI variance overflows$"):
+                certify_vk(contexts[0], contexts[1:], FixedScores(GOLDEN),
+                           se_mode="analytic-moment")
 
     def test_an_unseen_outcome_adds_nothing(self):
         # its squared score overflows; a count of 0 times it is 0, not NaN
@@ -580,7 +667,7 @@ class TestClassifierFi:
 
     def test_single_eval_sample_degenerate(self):
         est = classifier_fi(NOISY, T, n_train=100, n_eval=1, seed=0)
-        assert est.degenerate
+        assert est.n == 1 and est.variance == 0.0
 
     def test_median_improves_with_training_size(self):
         # consistency: median absolute calibration error shrinks with the

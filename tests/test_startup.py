@@ -125,15 +125,19 @@ class TestLazyLayers:
         ("models", "categorical_product"), ("witness", "improvement_factor"),
         ("estimate", "plugin_fi"), ("estimate", "analytic_mu4"),
         ("estimate", "fi_estimate_variance"), ("estimate", "mle_theta"),
-        ("errors", "BranchWarning")])
+        ("errors", "BranchWarning"), ("estimate", "_estimates"),
+        ("estimate.CertificationReport", "estimates")])
     def test_second_paths_are_gone(self, owner, name):
-        # each formula has one path: the one these names repeated stays
+        # each formula has one path, and a chain's contexts one layout: the
+        # one these names repeated stays
         obj = cfii
         for part in owner.split("."):
             obj = getattr(obj, part)
         for where in (cfii, obj):
             with pytest.raises(AttributeError):
                 getattr(where, name)
+        # a dataclass field without a default is no class attribute
+        assert name not in getattr(obj, "__dataclass_fields__", {})
 
     def test_a_patched_attribute_shows_through_the_package(self,
                                                            monkeypatch):
