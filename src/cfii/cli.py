@@ -14,15 +14,16 @@ table as CSV (default) or JSON:
 
 CSV output carries '#'-prefixed metadata lines (tool version, command,
 effective config, seed, wall clock); JSON output is {"meta": ..., "columns":
-..., "rows": ...}, whose meta.config can be written to a file and fed back
-via --config to reproduce the run.  Each column has one type: integers print
-as integers, floats with 17 significant digits, and a non-finite float as
-inf/-inf in CSV and null in JSON; an exit-0 table never holds NaN.
-Configuration precedence is CLI flags > config file > defaults.  A flag is
-spelled exactly as _SPECS names it and checked against its kind there when
-given, whether or not the command or its model uses it, so the config echo is
-always strict JSON.  main() alone maps an exception to an exit code: a
-CfiiError to 3 (numerical degeneracy), then any other ValueError (an
+..., "rows": ...}, whose meta.config can be written to a file and fed back via
+--config to reproduce the run.  Each column has one type: integers print as
+integers, floats with 17 significant digits, and a non-finite float as inf/-inf
+in CSV and null in JSON; an exit-0 table never holds NaN.  Configuration
+precedence is CLI flags > config file > defaults.  _SPECS is the one table of
+flags: build_config reads argv against it, and --help lists each flag with its
+kind and default.  A flag is spelled as its key with dashes and checked against
+its kind when given, whether or not the command or its model uses it, so the
+config echo is always strict JSON.  main() alone maps an exception to an exit
+code: a CfiiError to 3 (numerical degeneracy), then any other ValueError (an
 unwritable --out file too) to 2 (configuration error), each with one line on
 stderr.  run() is the one-shot entry (the cfii script and python -m cfii.cli);
 main() is the same driver for a caller that keeps running.
@@ -36,9 +37,7 @@ if __name__ == "__main__":
     # a one-shot process (see run): no collections during numpy's import
     gc.disable()
 
-import argparse
 import contextlib
-import functools
 import json
 import math
 import os
@@ -229,43 +228,6 @@ _SPECS: dict[str, dict[str, tuple[object, object]]] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ConfigError where argparse would print usage and exit, and
-    binds the token after each of its value flags to that flag."""
-
-    def error(self, message: str):
-        raise ConfigError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse reads a value that starts with "-" (-1e-3, -inf, -3:3:3)
-        # as a flag; --flag=value hands any value to _coerce
-        bound, tokens = [], iter(sys.argv[1:] if args is None else args)
-        for token in tokens:
-            action = self._option_string_actions.get(token)
-            value = (next(tokens, None)
-                     if action is not None and action.nargs is None else None)
-            bound.append(token if value is None else f"{token}={value}")
-        return super().parse_known_args(bound, namespace)
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Every flag collects its string; _coerce converts it.  Built once per
-    process: parsing leaves a parser as it was."""
-    parser = _Parser(prog="cfii", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, spec in _SPECS.items():
-        p = sub.add_parser(command, allow_abbrev=False)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        for key, (kind, _default) in spec.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           default=argparse.SUPPRESS,
-                           metavar="{%s}" % ",".join(kind)
-                           if isinstance(kind, tuple) else None)
-    return parser
-
-
 def _load_config_file(path: str, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -309,18 +271,55 @@ def _coerce(key: str, kind, default, value):
 
 
 def build_config(argv: list[str] | None) -> ExperimentConfig:
-    ns = _build_parser().parse_args(argv)
-    spec = _SPECS[ns.command]
+    """The config of argv (sys.argv[1:] when None): a command of _SPECS and
+    its flags, each --flag=value or --flag and its value, whatever that
+    starts with; the last of a repeated flag wins.  A token that is neither
+    ends the reading, and the refusal names it and the tokens after it."""
+    command, *rest = (sys.argv[1:] if argv is None else argv) or [""]
+    if command not in _SPECS:
+        if command in ("-h", "--help"):
+            _exit_with_usage(None)
+        raise ConfigError(f"the first argument must be a command, one of "
+                          f"{', '.join(_SPECS)}; got {command!r}")
+    spec = _SPECS[command]
+    flags = {_flag(key): key for key in ("config", "out", *spec)}
+    given, tokens = {}, iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit_with_usage(command)
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(
+                f"unrecognized arguments: {' '.join([token, *tokens])}")
+        if not equals and (value := next(tokens, None)) is None:
+            raise ConfigError(f"{flag} needs a value")
+        given[flags[flag]] = value
+    path, out = given.pop("config", None), given.pop("out", None)
     merged = {key: default for key, (_kind, default) in spec.items()}
-    if ns.config is not None:
-        merged.update(_load_config_file(ns.config, ns.command))
-    merged.update((key, value) for key, value in vars(ns).items()
-                  if key in spec)
+    if path is not None:
+        merged.update(_load_config_file(path, command))
+    merged.update(given)
     params = {key: _coerce(key, *spec[key], value)
               for key, value in merged.items()}
     seed, fmt = params.pop("seed"), params.pop("format")
-    return ExperimentConfig(command=ns.command, params=params, seed=seed,
-                            out=ns.out, fmt=fmt)
+    return ExperimentConfig(command=command, params=params, seed=seed,
+                            out=out, fmt=fmt)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _exit_with_usage(command: str | None):
+    """Print and flush (see run) cfii's or a command's usage text; exit 0."""
+    rows = [f"usage: cfii {command or '{%s}' % ','.join(_SPECS)} [--config "
+            "PATH] [--out PATH] [--FLAG VALUE | --FLAG=VALUE ...]"]
+    for key, (kind, default) in _SPECS.get(command, {}).items():
+        kind = ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                else kind.__name__.upper())
+        rows.append(f"  {_flag(key)} {kind}  default {json.dumps(default)}")
+    print(*rows, sep="\n", flush=True)
+    raise SystemExit(0)
 
 
 def _seed(config: ExperimentConfig, run: str) -> int:

@@ -234,10 +234,10 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     _require_scores((moments[:, 0], moments[:, 1]))
     shape = np.broadcast(moments[0, 2], shots).shape
     ones = np.ones(shape)
-    # F and mu4 times ones (x * 1 is x) to broadcast with the shots, and
-    # then each row's variances: (rows, angles) each
-    f, mu4 = (moments[:, 2:].reshape(2, 2, -1) * ones.ravel()).transpose(
-        1, 2, 0)
+    # F and mu4 of each row of the broadcast shape (x * 1 is x), and then
+    # each row's variances: (rows, angles) each
+    f, mu4 = (np.moveaxis(moments[:, 2:], (0, 1), (-1, -2))
+              * ones[..., None, None]).reshape(-1, 2, 2).transpose(1, 0, 2)
     var = _variance(f, mu4, (shots * ones).reshape(-1, 1))
     columns = np.empty((3, len(f)))  # v, se and z
     # blocks of rows whose chains, C-contiguous and of at most _CHAIN_BLOCK

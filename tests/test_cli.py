@@ -33,6 +33,16 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def exit_of(capsys, argv):
+    """run_cli for an argv that may end the run with SystemExit (--help)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def parse_csv(text):
     meta, columns, rows = {}, None, []
     for line in text.splitlines():
@@ -75,11 +85,9 @@ def column(columns, rows, name, cast=float):
 
 class TestConfig:
     def test_parser_is_built_once(self, capsys):
-        cli._build_parser.cache_clear()
         first = run_cli(capsys, ["fi"])
         assert run_cli(capsys, ["fi", "--bogus"])[0] == 2
         again = run_cli(capsys, ["fi"])
-        assert cli._build_parser() is cli._build_parser()
         assert (first[0], first[2]) == (again[0], again[2]) == (0, "")
         assert drop_wallclock(first[1]) == drop_wallclock(again[1])
         with pytest.raises(SystemExit) as exit_:
@@ -194,13 +202,13 @@ class TestConfig:
         assert (code, out) == (2, "") and err.count("\n") == 1
         assert err.endswith(": embedded null byte\n")
 
-    def test_argparse_rejects_unknown_command(self, capsys):
+    def test_unknown_command_is_refused(self, capsys):
         for argv in (["frobnicate"], ["fi", "--bogus", "1"], []):
             code, out, err = run_cli(capsys, argv)
             assert (code, out) == (2, "") and err.count("\n") == 1
             assert err.startswith("cfii: config error: ")
 
-    def test_argparse_rejects_bad_format(self, capsys):
+    def test_bad_value_is_refused(self, capsys):
         for argv in (["fi", "--format", "xml"], ["chain", "--k", "2.5"],
                      ["fi", "--gamma", "abc"], ["fi", "--grid"]):
             code, out, err = run_cli(capsys, argv)
@@ -213,6 +221,57 @@ class TestConfig:
                 main(argv)
             assert exc.value.code == 0
             assert capsys.readouterr().out.startswith("usage: cfii")
+
+    @pytest.mark.parametrize("command", sorted(_SPECS))
+    def test_help_lists_every_flag(self, capsys, command):
+        code, out, err = exit_of(capsys, [command, "-h"])
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[0].startswith(
+            f"usage: cfii {command} [--config PATH] [--out PATH] ")
+        flags = [row.split()[0] for row in rows[1:]]
+        assert flags == list(map(_flag, _SPECS[command]))
+        for row, (kind, default) in zip(rows[1:], _SPECS[command].values()):
+            assert row.endswith(f"default {json.dumps(default)}")
+            assert row.split()[1] == ("{%s}" % ",".join(kind)
+                                      if isinstance(kind, tuple)
+                                      else kind.__name__.upper())
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["fi", "--grid"], 2, "", "--grid needs a value"),
+        (["landscape", "--grid_cb", "0:1:2"], 2, "",
+         "unrecognized arguments: --grid_cb 0:1:2"),
+        (["fi", "stray"], 2, "", "unrecognized arguments: stray"),
+        (["--seed", "1", "fi"], 2, "",
+         f"the first argument must be a command, one of {', '.join(_SPECS)}"
+         "; got '--seed'"),
+        (["fi", "-g", "1"], 2, "", "unrecognized arguments: -g 1"),
+        (["fi", "--"], 2, "", "unrecognized arguments: --"),
+        ([], 2, "",
+         f"the first argument must be a command, one of {', '.join(_SPECS)}"
+         "; got ''"),
+        # the tokens from the first one not read, each as given
+        (["fi", "--", "--gamma", "1"], 2, "",
+         "unrecognized arguments: -- --gamma 1"),
+        # the last of a repeated flag wins
+        (["fi", "--gamma", "0.3", "--gamma", "0.4"], 0,
+         ["fi", "--gamma", "0.4"], ""),
+        (["fi", "--grid=0.1:1:2", "--format=json"], 0,
+         ["fi", "--grid", "0.1:1:2", "--format", "json"], ""),
+        (["fi", "-h"], 0, "usage: cfii fi ", ""),
+    ])
+    def test_parser_edge_cases(self, capsys, argv, code, out, err):
+        got = exit_of(capsys, argv)
+        assert got[0] == code
+        assert got[2] == (f"cfii: config error: {err}\n" if err else "")
+        if isinstance(out, list):
+            # the stdout of `out`, CSV or JSON, but for its wallclock line
+            lines, expected = ([line for line in text.splitlines()
+                                if cli.WALLCLOCK_KEY not in line]
+                               for text in (got[1], run_cli(capsys, out)[1]))
+            assert lines == expected != []
+        else:
+            assert got[1].startswith(out) and (got[1] == "") == (code == 2)
 
 
 class TestFiCommand:
@@ -965,8 +1024,8 @@ class TestFlagRule:
          "cfii: config error: vartheta0 must lie in (-inf, inf), got -inf\n"),
     ])
     def test_value_may_start_with_a_dash(self, capsys, flags, code, err):
-        # argparse reads -3:3:3, -1e-3 and -inf as flags; the token after a
-        # value flag is its value all the same, as in --flag=value
+        # the token after a value flag is its value whatever it starts with,
+        # as in --flag=value
         joined = [f"{flag}={value}"
                   for flag, value in zip(flags[::2], flags[1::2])]
         spaced = run_cli(capsys, ["fi", *flags])

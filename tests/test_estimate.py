@@ -378,6 +378,24 @@ class TestAnalyticCertification:
             assert (report.v_hat[i], report.se[i], report.z[i]) == (
                 one.v_hat, one.se, one.z)
 
+    @pytest.mark.parametrize("shots", [[[100], [5000]],
+                                       [[100, 30, 7], [5000, 2, 10 ** 6]]],
+                             ids=["2x1", "2x3"])
+    def test_shots_broadcast_past_the_rates(self, shots):
+        # rates (3,) and shots (2, 1) or (2, 3): a (2, 3) report whose every
+        # entry is the one-rate, one-shot-count report, bit for bit
+        gammas = np.array([0.1, 0.25, 0.6])
+        shots = np.array(shots)
+        report = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+            gamma=gammas, epsilon_r=0.02)), T, 4, shots)
+        assert report.v_hat.shape == (2, 3)
+        assert report.f_segments.shape == (2, 3, 4)
+        for (i, j), n in np.ndenumerate(np.broadcast_to(shots, (2, 3))):
+            one = analytic_certification(NoisyFringeModel(NoisyFringeParams(
+                gamma=gammas[j].item(), epsilon_r=0.02)), T, 4, n.item())
+            assert [np.asarray(x)[i, j].tolist() for x in fields(report)[:-1]
+                    ] == fields(one)[:-1]
+
     def test_rate_blocks_have_no_seam(self, monkeypatch):
         # blocks of a few rows each, some splitting a K = 7 table unevenly
         gammas = np.linspace(0.0, 0.6, 29)

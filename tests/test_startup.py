@@ -24,13 +24,15 @@ def python(*args, **kwargs):
 
 
 def loaded_after(statement: str) -> set[str]:
-    """numpy, numpy.ma and the cfii submodules that a fresh interpreter
-    holds after running `statement` with its stdout discarded."""
+    """numpy, numpy.ma, argparse, gettext, locale and the cfii submodules
+    that a fresh interpreter holds after running `statement` with its stdout
+    discarded."""
     code = ("import contextlib, io, sys\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    {statement}\n"
             "print(*(m for m in sys.modules\n"
-            "        if m in ('numpy', 'numpy.ma') or m.startswith('cfii.')))")
+            "        if m in ('numpy', 'numpy.ma', 'argparse', 'gettext',\n"
+            "                 'locale') or m.startswith('cfii.')))")
     return set(python("-c", code, check=True).stdout.split())
 
 
@@ -73,6 +75,25 @@ class TestLazyLayers:
         # importing numpy.ma takes about 16 ms, a tenth of a fresh fi call
         assert "numpy.ma" not in loaded_after(
             f"from cfii import cli; cli.main({argv!r})")
+
+    @pytest.mark.parametrize("argv", [
+        ["fi", "--grid", "0.1:1:3"],
+        ["landscape", "--grid", "0.1:1:3"],
+        ["certify", "--seed", "1", "--shots", "100"],
+        ["adversary", "--seed", "1", "--restarts", "2", "--steps", "5"],
+        ["rmse", "--seed", "1", "--n-grid", "100:1000:2", "--reps", "10"],
+        ["chain", "--gamma-grid", "0:0.6:3"],
+        ["nsit-demo"],
+        ["crossing"],
+        ["chain", "--help"],
+        ["fi", "--bogus"],
+    ])
+    def test_no_command_loads_argparse(self, argv):
+        # the flags are read against _SPECS; importing argparse, gettext and
+        # locale and building a parser took about 6-8 ms of a fresh call
+        statement = ("with contextlib.suppress(SystemExit): "
+                     f"from cfii import cli; cli.main({argv!r})")
+        assert not loaded_after(statement) & {"argparse", "gettext", "locale"}
 
     def test_every_export_is_its_defining_module_attribute(self):
         code = ("import sys, cfii\n"
@@ -208,6 +229,7 @@ class TestOneShotEntry:
     @pytest.mark.parametrize("argv, unbuffered", [
         (["fi"], True),  # fails in a write
         (["nsit-demo"], False),  # fails in the flush before exit
+        (["fi", "--help"], False),  # fails in the usage text's flush
     ])
     def test_closed_stdout_exits_1_silently(self, argv, unbuffered):
         env = dict(ENV)
