@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBenchmarkError, OptimizationError
+from .errors import (DegenerateBenchmarkError, OptimizationError,
+                     ResistanceOverflowError)
 from .fim import PINV_RCOND, ROWSPACE_TOL
 from .rng import derive_rng, require_integral, require_real
 
@@ -185,12 +186,19 @@ def _backward(ctx) -> np.ndarray:
     return grad
 
 
-def _forward_one(params: AdversaryParams):
-    """`_forward` on the single row of `params`; raises when a module FI is
+def _forward_one(params: AdversaryParams, power: int = 1):
+    """`_forward` on the single row of `params`.  Raises where a module FI,
+    or at power 2 its square (which `_backward` takes), overflows, where the
+    arithmetic would give a wrong value or NaN, and where a module FI is
     below FI_FLOOR, where the harmonic benchmark is degenerate."""
     theta = np.concatenate((params.a, params.a_dot, params.d.ravel(),
                             params.d_dot.ravel()))[None]
-    gamma, degenerate, ctx = _forward(theta, params.l, params.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma, degenerate, ctx = _forward(theta, params.l, params.m)
+        for name, f in (("F_ac", ctx[5][0]), ("F_cb", ctx[6][0])):
+            if not np.isfinite(f ** power):
+                raise ResistanceOverflowError(name + "^2" * (power - 1)
+                                              + " overflows")
     if degenerate[0]:
         raise DegenerateBenchmarkError(
             f"module FI vanished (below FI_FLOOR = {FI_FLOOR})")
@@ -205,7 +213,7 @@ def gamma_adv(params: AdversaryParams) -> float:
 def gamma_adv_gradient(params: AdversaryParams
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradient of Gamma_adv with respect to (a, a_dot, d, d_dot)."""
-    _, ctx = _forward_one(params)
+    _, ctx = _forward_one(params, power=2)
     return tuple(g[0] for g in _unpack(_backward(ctx), params.l, params.m))
 
 

@@ -553,9 +553,9 @@ def cmd_crossing(config: ExperimentConfig) -> ResultTable:
     from .witness import gamma_crossing
 
     params = config.params
-    gamma_star = gamma_crossing(_noisy(params, 0.0).params,
-                                params["t_total"], params["k"],
-                                gamma_range=(0.0, params["gamma_max"]))
+    base = NoisyFringeParams(0.0, params["eps_r"], params["vartheta0"])
+    gamma_star = gamma_crossing(base, params["t_total"], params["k"],
+                                params["gamma_max"])
     return ResultTable({"k": [params["k"]], "t_total": [params["t_total"]],
                         "eps_r": [params["eps_r"]], "gamma_star": [gamma_star]})
 

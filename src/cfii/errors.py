@@ -23,7 +23,7 @@ class ResistanceOverflowError(CfiiError, ValueError):
     """A positive Fisher information whose inverse (an information
     resistance), a sum of such inverses, 1/F^4 or F^4 overflows, or a
     finite Fisher matrix whose largest eigenvalue, resistance u^T F^+ u or
-    its inverse does."""
+    its inverse does, or an adversary's module FI or its square."""
 
 
 class NotPositiveDefiniteError(CfiiError, ValueError):

@@ -64,11 +64,10 @@ class ContextSample:
 
 @dataclass(frozen=True)
 class FiEstimate:
-    """Plug-in FI estimate of n shots with an estimate of its variance."""
+    """Plug-in FI estimate with an estimate of its variance."""
 
     value: float
     variance: float
-    n: int
 
     def __post_init__(self) -> None:
         require_real(self.value, "value", 0)
@@ -90,7 +89,6 @@ class CertificationReport:
     var_end: float | np.ndarray
     f_segments: np.ndarray
     var_segments: np.ndarray
-    mode: str
 
     @property
     def ci95(self) -> tuple[float, float]:
@@ -213,7 +211,7 @@ def certify_vk(endpoint: ContextSample, segments: Iterable[ContextSample],
     _require_finite(f_hat, var_hat)
     f_hat.flags.writeable = var_hat.flags.writeable = False
     return CertificationReport(v, se, z, float(f_hat[0]), float(var_hat[0]),
-                               f_hat[1:], var_hat[1:], se_mode)
+                               f_hat[1:], var_hat[1:])
 
 
 def analytic_certification(model: BinaryModel, t_total: float, k: int,
@@ -223,7 +221,7 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
     to produce, computed entirely from analytic moments.  An array-gamma
     NoisyFringeModel, or shot counts broadcasting with its rates, give each
     row's report as an entry of columns."""
-    k = _require_chain(k, t_total, "t_total")
+    k = _require_chain(k, t_total)
     shots = np.asarray(n_per_context)
     for count in dict.fromkeys(shots.ravel().tolist()):
         require_integral(count, "n_per_context", 2)
@@ -252,7 +250,7 @@ def analytic_certification(model: BinaryModel, t_total: float, k: int,
         *(col.reshape(shape) if shape else col.item()
           for col in (*columns, f[:, 0], var[:, 0])),
         *(np.broadcast_to(x[:, 1:].reshape(*shape, 1), (*shape, k))
-          for x in (f, var)), "analytic-moment")
+          for x in (f, var)))
 
 
 def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int],
@@ -304,7 +302,7 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
     n1_e = int(rng_e.binomial(n_eval, float(model.p1(theta))))
     f_hat, var_hat = _plugin([n_eval], [n_eval - n1_e], (s0, s1))
     _require_finite(f_hat, var_hat)
-    return FiEstimate(float(f_hat[0]), float(var_hat[0]), n_eval)
+    return FiEstimate(float(f_hat[0]), float(var_hat[0]))
 
 
 def _mle_theta(p0_hat, vartheta: float):
@@ -351,7 +349,7 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     A zero plug-in FI estimate in any replication raises
     NonPositiveFiError, as in certify_vk.
     """
-    k = _require_chain(k, t_total, "t_total")
+    k = _require_chain(k, t_total)
     n_per_context = require_integral(n_per_context, "n_per_context", 1)
     reps = require_integral(reps, "reps", 1, MAX_REPS)
     require_integral(reps * (k + 1), "reps * (k + 1)", hi=MAX_SHOTS)

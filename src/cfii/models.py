@@ -110,7 +110,7 @@ class BinaryModel(ABC):
     def _fi(self, theta, z, zd):
         """fi at theta from z and zdot there; zddot is evaluated only where
         some point is singular, and its values elsewhere are discarded."""
-        if isinstance(zd, float):  # the scalar fast path, in Python floats
+        if isinstance(zd, float):  # fast path: numpy costs a scalar fi 5x
             a, b = float(z), float(zd)
             if not abs(1.0 - a * a) < SINGULARITY_TOL:
                 return b * b / (1.0 - a * a)
@@ -176,7 +176,8 @@ class NoisyFringeModel(BinaryModel):
     def _terms(self, theta):
         """contrast * exp(-gamma theta) and the phase x = theta - vartheta0."""
         p = self.params
-        if type(theta) is float and type(p.gamma) is float:  # the fast path
+        # the fast path: np.errstate and np.less cost a scalar z 10x
+        if type(theta) is float and type(p.gamma) is float:
             negative, exponent = theta < 0.0, -p.gamma * theta
         else:
             with np.errstate(over="ignore"):

@@ -16,8 +16,8 @@ The K-segment generalization sums the chain resistances, the split-optimized
 benchmark maximizes the harmonic composition over the intermediate time, and
 `gamma_crossing` locates the dephasing rate at which the chain advantage
 Gamma_K drops to 1.  The witness, benchmark and indicator functions take
-arrays of FIs that broadcast together, and refuse any FI that is not > 0,
-or whose inverse (or a sum of inverses) overflows.
+FIs (floats, lists or arrays) that broadcast together, and refuse any FI
+that is not > 0, or whose inverse (or a sum of inverses) overflows.
 """
 
 from __future__ import annotations
@@ -50,21 +50,17 @@ class WitnessReport:
     the last axis, as everywhere in the library: f_segments is a read-only
     float64 array of shape (*rates, K) and segments the (K,) segment
     angles, both views of the distinct values evaluated, so that
-    v_chain(f_end, f_segments) == v.  A report that holds arrays supports
-    neither == nor hash; compare its fields.
+    v_chain(f_end, f_segments) == v and K is len(segments).  The gain
+    indicator of a report is gain_indicator(f_end, f_benchmark).  A report
+    that holds arrays supports neither == nor hash; compare its fields.
     """
 
     v: float | np.ndarray
     f_end: float | np.ndarray
     f_benchmark: float | np.ndarray
     gamma_ratio: float | np.ndarray
-    g_indicator: float | np.ndarray
     f_segments: np.ndarray
     segments: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.segments)
 
 
 def v_path(f_ab, f_ac, f_cb):
@@ -98,7 +94,7 @@ def gain_indicator(f_end, f_benchmark):
 
 
 def split_optimized_benchmark(model: BinaryModel,
-                              theta_total: float) -> tuple[float, float]:
+                              t_total: float) -> tuple[float, float]:
     """Maximize the harmonic benchmark over the split point.
 
     Evaluates the benchmark on a 512-point midpoint grid of split fractions,
@@ -107,10 +103,10 @@ def split_optimized_benchmark(model: BinaryModel,
     relative 1e-9, absorbing FI roundoff near fringe extremes) toward the
     symmetric split lambda = 0.5.  Returns (benchmark FI, lambda_star).
     """
-    _require_chain(2, theta_total, "theta_total")
+    _require_chain(2, t_total)
 
     def benchmark(lam):
-        f = [model.fi(x * theta_total) for x in (lam, 1.0 - lam)]
+        f = [model.fi(x * t_total) for x in (lam, 1.0 - lam)]
         harmonic = classical_benchmark_path(*np.maximum(f, SPLIT_FI_FLOOR))
         return np.where(np.min(f, axis=0) < SPLIT_FI_FLOOR, 0.0, harmonic)
 
@@ -136,10 +132,10 @@ def split_optimized_benchmark(model: BinaryModel,
     return f_star, lam_star
 
 
-def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
+def k_chain_gain(model: BinaryModel, t_total: float, k: int,
                  partition: str = "equal") -> WitnessReport:
     """Chain witness report for a K-segment protocol of total angle
-    theta_total.  Each segment context runs the same model for its segment
+    t_total.  Each segment context runs the same model for its segment
     length from a fresh preparation.
 
     partition="equal" uses K equal segments; partition="optimized" is
@@ -147,17 +143,17 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
     array-gamma NoisyFringeModel (equal partitions) gives each rate's report
     as an entry of columns.
     """
-    k = _require_chain(k, theta_total, "theta_total")
-    f_end = model.fi(theta_total)
+    k = _require_chain(k, t_total)
+    f_end = model.fi(t_total)
     shape = np.shape(f_end)
 
     if partition == "equal":
-        angles = [theta_total / k]
+        angles = [t_total / k]
     elif partition == "optimized":
         if k != 2 or shape:
             raise ValueError("optimized partitions need k=2 and one rate")
-        _, lam = split_optimized_benchmark(model, theta_total)
-        angles = [lam * theta_total, (1.0 - lam) * theta_total]
+        _, lam = split_optimized_benchmark(model, t_total)
+        angles = [lam * t_total, (1.0 - lam) * t_total]
     else:
         raise ValueError(f"unknown partition {partition!r}")
 
@@ -177,25 +173,24 @@ def k_chain_gain(model: BinaryModel, theta_total: float, k: int,
         f_end=f_end,
         f_benchmark=f_benchmark,
         gamma_ratio=f_end / f_benchmark,
-        g_indicator=gain_indicator(f_end, f_benchmark),
         f_segments=np.broadcast_to(f_parts, (*shape, k)),
         segments=np.broadcast_to(angles, (k,)),
     )
 
 
 def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
-                   gamma_range: tuple[float, float] = (0.0, 2.0)) -> float:
+                   gamma_max: float = 2.0) -> float:
     """Dephasing rate gamma_star at which the chain gain Gamma_K(gamma)
     crosses 1, for the noisy fringe with `base`'s eps_r and vartheta0.
 
-    Scans 64 bracketing points over gamma_range, a (lo, hi) pair with
-    0 <= lo < hi finite, in one array evaluation, then bisects the first
-    sign-change bracket [a, b], keeping Gamma_K(a) > 1 >= Gamma_K(b), until
-    it is at most 1e-8 wide or its midpoint is one of its ends; returns its
+    Scans 64 bracketing points over [0, gamma_max] (gamma_max finite and
+    > 0) in one array evaluation, then bisects the first sign-change
+    bracket [a, b], keeping Gamma_K(a) > 1 >= Gamma_K(b), until it is at
+    most 1e-8 wide or its midpoint is one of its ends; returns its
     midpoint.  A zero segment FI raises NonPositiveFiError where the scan or
     the bisection meets it.
     """
-    k = _require_chain(k, t_total, "t_total")
+    k = _require_chain(k, t_total)
 
     def excess(gammas):
         m = NoisyFringeModel(NoisyFringeParams(
@@ -205,22 +200,15 @@ def gamma_crossing(base: NoisyFringeParams, t_total: float, k: int,
         with np.errstate(over="ignore"):  # F k past the largest float is inf
             return f_end * k / f_segment - 1.0
 
-    try:
-        lo, hi = gamma_range
-    except (TypeError, ValueError):
-        raise ValueError("gamma_range must be a (lo, hi) pair, got "
-                         f"{gamma_range!r}") from None
-    lo = require_real(lo, "gamma_range[0]", 0)
-    hi = require_real(hi, "gamma_range[1]", lo, bounds="(]")
-    grid = np.linspace(lo, hi, 64)
+    gamma_max = require_real(gamma_max, "gamma_max", 0, bounds="(]")
+    grid = np.linspace(0.0, gamma_max, 64)
     vals = excess(grid)
     if vals[0] <= 0.0:
-        raise NoCrossingError("Gamma_K does not start above 1 at gamma = "
-                              f"{lo}")
+        raise NoCrossingError("Gamma_K does not start above 1 at gamma = 0.0")
     sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if sign_change.size == 0:
         raise NoCrossingError(
-            f"Gamma_K stays above 1 on [{lo}, {hi}]; no crossing")
+            f"Gamma_K stays above 1 on [0.0, {gamma_max}]; no crossing")
     i = int(sign_change[0])
     a, b = float(grid[i]), float(grid[i + 1])
     while b - a > 1e-8 and a < 0.5 * (a + b) < b:
@@ -267,12 +255,12 @@ def _nsit_holds(p_direct, p_context) -> bool:
     return bool(np.max(np.abs(np.asarray(p_context) - p_direct)) < 1e-14)
 
 
-def _require_chain(k, total: float, name: str) -> int:
-    """Check the arguments of a k-segment chain of total angle `total`:
+def _require_chain(k, t_total: float) -> int:
+    """Check the arguments of a k-segment chain of total angle t_total:
     k an integral value in [2, MAX_CHAIN_K] (an integral float such as 4.0
-    acts as 4) and a finite total > 0.  Returns k as an int."""
+    acts as 4) and a finite t_total > 0.  Returns k as an int."""
     k = require_integral(k, "k", 2, MAX_CHAIN_K)
-    require_real(total, name, 0, bounds="(]")
+    require_real(t_total, "t_total", 0, bounds="(]")
     return k
 
 
@@ -281,9 +269,9 @@ def _series(compose, **named):
     _require_positive.  A result that is not finite raises
     ResistanceOverflowError, naming the FIs too small to invert, or else
     all the FIs whose inverses were summed, instead of letting numpy warn."""
-    _require_positive(**named)
+    values = _require_positive(**named)
     with np.errstate(over="ignore", invalid="ignore"):
-        inverses = [1.0 / value for value in named.values()]
+        inverses = [1.0 / value for value in values]
         series = compose(*inverses)
     if not np.isfinite(series).all():
         names = [name.rstrip("_") for name in named]
@@ -295,18 +283,22 @@ def _series(compose, **named):
     return series
 
 
-def _require_positive(**named) -> None:
-    """Raise NonPositiveFiError at the first entry not > 0 (NaN included) or
+def _require_positive(**named) -> list:
+    """The named FIs, a float as it is and anything else as an array, after
+    raising NonPositiveFiError at the first entry not > 0 (NaN included) or
     infinite, in argument order and then C order.  A name ending in "_"
     gets the entry's index on the last axis appended."""
+    checked = []
     for name, value in named.items():
-        if isinstance(value, float) and 0.0 < value < math.inf:  # fast path
-            continue
-        values = np.asarray(value)
-        bad = np.flatnonzero(~(values > 0.0) | (values == math.inf))
-        if bad.size:
-            if name.endswith("_"):
-                name += str(bad[0] % values.shape[-1])
-            value = values.flat[bad[0]].item()
-            need = "finite" if value == math.inf else "> 0"
-            raise NonPositiveFiError(f"{name} must be {need}, got {value}")
+        # fast path: np.asarray and the scan cost a float FI 14x
+        if not (isinstance(value, float) and 0.0 < value < math.inf):
+            value = np.asarray(value)
+            bad = np.flatnonzero(~(value > 0.0) | (value == math.inf))
+            if bad.size:
+                if name.endswith("_"):
+                    name += str(bad[0] % value.shape[-1])
+                entry = value.flat[bad[0]].item()
+                need = "finite" if entry == math.inf else "> 0"
+                raise NonPositiveFiError(f"{name} must be {need}, got {entry}")
+        checked.append(value)
+    return checked

@@ -104,8 +104,7 @@ def test_finite_shot_certification():
 def test_gain_crossing_location():
     with budget("crossing", 5.0):
         base = NoisyFringeParams(gamma=0.0, epsilon_r=0.02, vartheta0=0.0)
-        gamma_star = gamma_crossing(base, math.pi / 2, 4,
-                                    gamma_range=(0.0, 2.0))
+        gamma_star = gamma_crossing(base, math.pi / 2, 4, gamma_max=2.0)
         assert gamma_star == pytest.approx(0.444, abs=5e-3)
 
 

@@ -1,6 +1,7 @@
 """Tests for the modular softmax-tangent adversary and its optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from adversary_reference import (endpoint_fim, eval_kernels,
 from cfii import adversary
 from cfii.adversary import (FI_FLOOR, AdversaryParams, _backward, _forward,
                             gamma_adv, gamma_adv_gradient, optimize_restarts)
-from cfii.errors import DegenerateBenchmarkError
+from cfii.errors import DegenerateBenchmarkError, ResistanceOverflowError
 from cfii.fim import PINV_RCOND, effective_fi
 from cfii.rng import derive_rng
 
@@ -260,6 +261,52 @@ class TestGradient:
                                  d_dot=np.ones((2, 3)))
         with pytest.raises(DegenerateBenchmarkError):
             gamma_adv_gradient(params)
+
+
+class TestLargeLogitDerivatives:
+    """Gamma_adv is unchanged when a_dot and d_dot are scaled by one s (each
+    FI scales as s^2); where a module FI would overflow, a single point is
+    refused rather than given a wrong value or NaN."""
+
+    @staticmethod
+    def scaled(s):
+        rng = np.random.default_rng(3)
+        a, a_dot, d, d_dot = (rng.normal(size=shape)
+                              for shape in (3, 3, (3, 4), (3, 4)))
+        return AdversaryParams(a, s * a_dot, d, s * d_dot)
+
+    def test_scale_invariant_up_to_1e153(self):
+        expected = gamma_adv(self.scaled(1.0))
+        assert expected == pytest.approx(0.279140911559242, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-6, 1e50, 1e100, 1e150, 1e153):
+                assert gamma_adv(self.scaled(s)) == pytest.approx(
+                    expected, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [1e154, 1e155])
+    def test_overflowing_module_fi_refused(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (gamma_adv, gamma_adv_gradient):
+                with pytest.raises(ResistanceOverflowError,
+                                   match=r"^F_(ac|cb)(\^2)? overflows"):
+                    call(self.scaled(s))
+
+    def test_gradient_scales_until_its_squares_overflow(self):
+        # the a and d blocks are unchanged and the derivative blocks scale
+        # as 1/s, until the squared module FIs of the backward pass overflow
+        expected = gamma_adv_gradient(self.scaled(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e30, 1e76):
+                blocks = gamma_adv_gradient(self.scaled(s))
+                for block, scale, want in zip(blocks, (1, s, 1, s), expected):
+                    np.testing.assert_allclose(block * scale, want,
+                                               rtol=1e-12, atol=1e-15)
+            with pytest.raises(ResistanceOverflowError,
+                               match=r"^F_ac\^2 overflows"):
+                gamma_adv_gradient(self.scaled(1e78))
 
 
 class TestBatchedCore:

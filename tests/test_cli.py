@@ -876,6 +876,19 @@ class TestCrossingCommand:
             assert (code, out) == (2, "") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["crossing", "--gamma-max", "0"], "gamma_max"),
+    (["crossing", "--t-total", "0"], "t_total"),
+    (["chain", "--t-total", "0"], "t_total"),
+    (["certify", "--seed", "1", "--t-total", "0"], "t_total"),
+], ids=["crossing-gamma_max", "crossing-t_total", "chain-t_total",
+        "certify-t_total"])
+def test_refusal_names_the_flags_key(capsys, argv, key):
+    # the library names each parameter as the config key of its flag
+    assert run_cli(capsys, argv) == (
+        2, "", f"cfii: config error: {key} must lie in (0, inf), got 0.0\n")
+
+
 _ODD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "0.7",
                         "1e-300", "1e300", "abc"])
 # magnitudes log-uniform over [1e-308, 1e308], of either sign: extreme rates

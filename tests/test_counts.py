@@ -223,20 +223,16 @@ REAL_SITES = {
         lambda v: effective_fi([[1.0, v], [v, 1.0]], [1.0, 1.0])),
     "effective_fi.u": (
         "u", "(-inf, inf)", lambda v: effective_fi(np.eye(2), [1.0, v])),
-    "k_chain_gain.theta_total": (
-        "theta_total", "(0, inf)", lambda v: k_chain_gain(NOISY, v, 4)),
+    "k_chain_gain.t_total": (
+        "t_total", "(0, inf)", lambda v: k_chain_gain(NOISY, v, 4)),
     "gamma_crossing.t_total": (
         "t_total", "(0, inf)", lambda v: gamma_crossing(GOLDEN, v, 4)),
-    "gamma_crossing.gamma_range[0]": (
-        "gamma_range[0]", "[0, inf)",
-        lambda v: gamma_crossing(GOLDEN, T, 4, (v, 2.0))),
-    "gamma_crossing.gamma_range[1]": (
-        "gamma_range[1]", "(0.5, inf)",
-        lambda v: gamma_crossing(GOLDEN, T, 4, (0.5, v))),
+    "gamma_crossing.gamma_max": (
+        "gamma_max", "(0, inf)", lambda v: gamma_crossing(GOLDEN, T, 4, v)),
     "FiEstimate.value": (
-        "value", "[0, inf)", lambda v: FiEstimate(v, 0.0, 10)),
+        "value", "[0, inf)", lambda v: FiEstimate(v, 0.0)),
     "FiEstimate.variance": (
-        "variance", "[0, inf)", lambda v: FiEstimate(1.0, v, 10)),
+        "variance", "[0, inf)", lambda v: FiEstimate(1.0, v)),
     "ContextSample.theta": (
         "theta", "(-inf, inf)", lambda v: ContextSample(v, 10, 5)),
     "sample_binary.p0": (
