@@ -494,21 +494,14 @@ def cmd_rmse(config: ExperimentConfig) -> ResultTable:
     params, seed = config.params, _seed(config, "rmse")
     model = _model_from(params)
     theta = params["theta"]
-    f = model.fi(theta)
-    if f <= 0.0:
-        raise ConfigError("reference bounds undefined: FI is zero at theta")
     vartheta = (params["vartheta"] if params["model"] == "ideal"
                 else params["vartheta0"])
-    # outside its branch the MLE is pinned or mirrored, not unbiased
-    if not vartheta < theta < vartheta + math.pi:
-        raise ConfigError(
-            f"theta must lie inside the MLE branch (vartheta, vartheta + pi)"
-            f" = ({vartheta!r}, {vartheta + math.pi!r}), got {theta!r}")
     n_values = _parse_int_grid(params["n_grid"], "--n-grid", np.geomspace)
-    # mc_rmse first: it refuses any fringe but cos, whose F n may overflow
+    # mc_rmse first: it refuses any fringe but cos, whose F n may overflow,
+    # and any theta its MLE cannot estimate
     rmse = [mc_rmse(model, theta, n, params["reps"], seed, i,
                     vartheta=vartheta) for i, n in enumerate(n_values.tolist())]
-    crb = 1.0 / np.sqrt(n_values * f)
+    crb = 1.0 / np.sqrt(n_values * model.fi(theta))
     return ResultTable({"n": n_values, "rmse": rmse, "crb": crb,
                         "crb_classical": math.sqrt(2.0) * crb})
 

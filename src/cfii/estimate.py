@@ -15,12 +15,17 @@ K = 10**6 chain takes about 0.04 s and 40 MB, and 10**5 rates at K = 4 about
 
 Also here: the smoothed two-class classifier score, a closed-form MLE for
 the binary fringe, and seeded Monte-Carlo experiments for RMSE
-achievability and the sampling distribution of V_hat.
+achievability and the sampling distribution of V_hat.  mc_rmse holds the
+MLE's whole domain: it refuses a theta off the branch (vartheta, vartheta +
+pi) and one where p0 is 0 or 1, where every estimate is a branch end.
+Every function here that takes a model, analytic_certification aside,
+refuses one over an array of rates.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +35,7 @@ from .errors import (DegenerateModelError, EstimationError,
                      ResistanceOverflowError)
 from .models import BinaryModel, NoisyFringeModel, NoisyFringeParams
 from .rng import derive_rng, require_integral, require_real
-from .witness import _require_chain, v_chain
+from .witness import _require_chain, _require_one_rate, v_chain
 
 Z95 = 1.959964
 
@@ -108,10 +113,12 @@ def _sample_contexts(model: BinaryModel, thetas: Sequence[float], n: int,
     """sample_binary at each of thetas on the matching path, evaluating p0
     once on the array of angles."""
     n = require_integral(n, "n", 1, MAX_SHOTS)
-    p0 = require_real(model.p0(np.array(thetas, dtype=float)), "p0", 0, 1)
-    return [ContextSample(theta=float(theta), n=n, n0=int(np.count_nonzero(
+    _require_one_rate(model)
+    thetas = require_real(thetas, "theta")
+    p0 = require_real(model.p0(thetas), "p0", 0, 1)
+    return [ContextSample(theta=theta, n=n, n0=int(np.count_nonzero(
                 derive_rng(seed, _TAG_SAMPLE, *path).random(n) < p)))
-            for theta, p, path in zip(thetas, p0.tolist(), paths)]
+            for theta, p, path in zip(thetas.tolist(), p0.tolist(), paths)]
 
 
 def _plugin(n, n0, scores):
@@ -199,6 +206,7 @@ def certify_vk(endpoint: ContextSample, segments: Iterable[ContextSample],
         raise EstimationError("need at least one segment context")
     if se_mode not in ("empirical", "analytic-moment"):
         raise ValueError(f"unknown se_mode {se_mode!r}")
+    _require_one_rate(model)
     s0, s1, f, mu4 = model._moments(np.array([s.theta for s in contexts]))
     n = [s.n for s in contexts]
     f_hat, var_hat = _plugin(n, [s.n0 for s in contexts], (s0, s1))
@@ -262,9 +270,14 @@ def classifier_score(counts_plus: tuple[int, int], counts_minus: tuple[int, int]
         s_hat(x) = (1/2 delta) ln[ ((n_{+,x}+alpha)/(N_+ + 2 alpha))
                                  / ((n_{-,x}+alpha)/(N_- + 2 alpha)) ].
     """
-    if not 0.0 < delta < math.inf:
-        raise EstimationError(f"delta must be > 0 and finite, got {delta}")
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta < math.inf):
+        raise EstimationError(f"delta must be > 0 and finite, got {delta!r}")
     alpha = require_real(alpha, "alpha", 0)
+    for name, counts in (("counts_plus", counts_plus),
+                         ("counts_minus", counts_minus)):
+        if np.shape(counts) != (2,):
+            raise ValueError(f"{name} must hold two counts, of outcomes 0 "
+                             f"and 1, got {counts!r}")
     counts_plus = [require_integral(c, "counts_plus") for c in counts_plus]
     counts_minus = [require_integral(c, "counts_minus") for c in counts_minus]
     np_, nm = sum(counts_plus), sum(counts_minus)
@@ -292,6 +305,7 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
     delta = require_real(delta, "delta", 0, bounds="(]")
     n_train = require_integral(n_train, "n_train", 1)
     n_eval = require_integral(n_eval, "n_eval", 1)
+    _require_one_rate(model)
     rng_p, rng_m, rng_e = (derive_rng(seed, _TAG_CLASSIFIER, j)
                            for j in range(3))
 
@@ -307,35 +321,35 @@ def classifier_fi(model: BinaryModel, theta: float, delta: float = 0.10,
 
 def _mle_theta(p0_hat, vartheta: float):
     """Invert the ideal fringe p0 = cos^2((theta - vartheta)/2), one-to-one
-    on the branch (vartheta, vartheta + pi), at each frequency p0_hat in
-    [0, 1].  Frequencies are clamped to [1e-12, 1 - 1e-12]; a frequency of
-    0 or 1 sits on the branch boundary, where the estimate is pinned to
-    vartheta + pi or vartheta."""
-    clamped = np.clip(p0_hat, 1e-12, 1.0 - 1e-12)
-    theta_hat = vartheta + 2.0 * np.arccos(np.sqrt(clamped))
-    return np.where(p0_hat >= 1.0, vartheta,
-                    np.where(p0_hat <= 0.0, vartheta + math.pi, theta_hat))
+    on the branch [vartheta, vartheta + pi], at each frequency p0_hat in
+    [0, 1]: a frequency of 1 gives vartheta and one of 0 vartheta + pi."""
+    return vartheta + 2.0 * np.arccos(np.sqrt(p0_hat))
 
 
-def mc_rmse(model: BinaryModel, theta_true: float, n: int, reps: int,
+def mc_rmse(model: BinaryModel, theta: float, n: int, reps: int,
             seed: int, *path: int, vartheta: float = 0.0) -> float:
     """Root-mean-square error of the fringe MLE over seeded replications of
-    an n-shot experiment at theta_true, drawn from the stream
-    (seed, 3, *path).  The MLE inverts z = cos(theta - vartheta) only: a
-    model with another fringe is refused."""
-    theta_true = require_real(theta_true, "theta_true")
+    an n-shot experiment at theta, drawn from the stream (seed, 3, *path).
+    The MLE inverts z = cos(theta - vartheta) on its branch (vartheta,
+    vartheta + pi): a model with another fringe is refused, and so is a
+    theta off the branch or where p0 is 0 or 1, since there every
+    estimate is a branch end."""
     vartheta = require_real(vartheta, "vartheta")
+    theta = require_real(theta, "theta", vartheta, vartheta + math.pi, "()")
     n = require_integral(n, "n", 1)
     reps = require_integral(reps, "reps", 1, MAX_REPS)
+    _require_one_rate(model)
+    p0 = float(model.p0(theta))
     grid = np.arange(64) * (2.0 * math.pi / 64)
     if np.max(np.abs(model.z(grid) - np.cos(grid - vartheta))) > 1e-12:
         raise ValueError(f"the MLE inverts z = cos(theta - {vartheta}) only")
-    p0 = float(model.p0(theta_true))
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"theta must give 0 < p0 < 1, got p0 = {p0!r} at "
+                         f"theta = {theta!r}: every estimate is a branch end")
     rng = derive_rng(seed, _TAG_RMSE, *path)
-    err = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta) - theta_true
-    # err scaled exactly by 2**-e <= 1/max|err|: its square cannot overflow
-    e = max(0, math.frexp(float(np.max(np.abs(err))))[1])
-    return math.ldexp(float(np.sqrt(np.mean(np.ldexp(err, -e) ** 2))), e)
+    err = _mle_theta(rng.binomial(n, p0, size=reps) / n, vartheta) - theta
+    # theta and the estimates lie on the branch: err ** 2 cannot overflow
+    return float(np.sqrt(np.mean(err ** 2)))
 
 
 def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
@@ -354,6 +368,7 @@ def mc_vk_distribution(params: NoisyFringeParams, t_total: float, k: int,
     reps = require_integral(reps, "reps", 1, MAX_REPS)
     require_integral(reps * (k + 1), "reps * (k + 1)", hi=MAX_SHOTS)
     model = NoisyFringeModel(params)
+    _require_one_rate(model)
     # the model on the K + 1 context angles; context j draws from its own
     # stream (seed, 4, j)
     thetas = np.repeat([t_total, t_total / k], [1, k])

@@ -104,6 +104,7 @@ def split_optimized_benchmark(model: BinaryModel,
     symmetric split lambda = 0.5.  Returns (benchmark FI, lambda_star).
     """
     _require_chain(2, t_total)
+    _require_one_rate(model)
 
     def benchmark(lam):
         f = [model.fi(x * t_total) for x in (lam, 1.0 - lam)]
@@ -264,6 +265,15 @@ def _require_chain(k, t_total: float) -> int:
     return k
 
 
+def _require_one_rate(model: BinaryModel) -> None:
+    """Refuse a model over an array of rates, an array-gamma
+    NoisyFringeModel, which only the equal-partition chain, the analytic
+    certification and the model's own methods take."""
+    if isinstance(model, NoisyFringeModel) and np.ndim(model.params.gamma):
+        raise ValueError(f"the model must have one rate, got rates of shape "
+                         f"{np.shape(model.params.gamma)}")
+
+
 def _series(compose, **named):
     """compose(*inverses) of the inverses 1/F of the named FIs, after
     _require_positive.  A result that is not finite raises
@@ -285,14 +295,18 @@ def _series(compose, **named):
 
 def _require_positive(**named) -> list:
     """The named FIs, a float as it is and anything else as an array, after
-    raising NonPositiveFiError at the first entry not > 0 (NaN included) or
-    infinite, in argument order and then C order.  A name ending in "_"
-    gets the entry's index on the last axis appended."""
+    raising ValueError at the first that is not real, and NonPositiveFiError
+    at the first entry not > 0 (NaN included) or infinite, in argument
+    order and then C order.  A name ending in "_" gets the entry's index on
+    the last axis appended."""
     checked = []
-    for name, value in named.items():
+    for name, given in named.items():
+        value = given
         # fast path: np.asarray and the scan cost a float FI 14x
         if not (isinstance(value, float) and 0.0 < value < math.inf):
             value = np.asarray(value)
+            if value.dtype.kind not in "biuf":
+                raise ValueError(f"{name} must be a real value, got {given!r}")
             bad = np.flatnonzero(~(value > 0.0) | (value == math.inf))
             if bad.size:
                 if name.endswith("_"):

@@ -726,11 +726,13 @@ class TestRmseCommand:
                                               rel=1e-12)
 
     def test_zero_information_point_rejected(self, capsys):
+        # F = 0 at theta = 0 for this fringe; the MLE's branch refuses it
         code, _, err = run_cli(capsys, [
             "rmse", "--seed", "1", "--vartheta", "0.5", "--varphi", "0",
             "--theta", "0"])
         assert code == 2
-        assert "FI is zero" in err
+        assert err == ("cfii: config error: theta must lie in "
+                       "(0.5, 3.641592653589793), got 0.0\n")
 
     @pytest.mark.parametrize("theta", ["0", repr(math.pi), "4"])
     def test_theta_outside_the_branch_refused(self, capsys, theta):
@@ -738,8 +740,22 @@ class TestRmseCommand:
         # table would read as a beat of the Cramer-Rao bound
         code, out, err = run_cli(capsys, ["rmse", "--seed", "1",
                                           "--theta", theta])
-        assert (code, out) == (2, "") and err.count("\n") == 1
-        assert "theta must lie inside the MLE branch" in err
+        assert (code, out) == (2, "")
+        assert err == ("cfii: config error: theta must lie in "
+                       f"(0.0, 3.141592653589793), got {float(theta)}\n")
+
+    @pytest.mark.parametrize("theta, p0", [("1e-10", "1.0"),
+                                           ("3.1415926435897933", "0.0")])
+    def test_theta_where_every_shot_agrees_refused(self, capsys, theta, p0):
+        # inside the branch, but p0 rounds to 1 or 0: every replication
+        # estimates a branch end, at any n
+        code, out, err = run_cli(capsys, [
+            "rmse", "--seed", "1", "--theta", theta, "--n-grid",
+            "10:100000:3", "--reps", "100"])
+        assert (code, out) == (2, "")
+        assert err == (f"cfii: config error: theta must give 0 < p0 < 1, got "
+                       f"p0 = {p0} at theta = {float(theta)!r}: every estimate "
+                       "is a branch end\n")
 
     def test_branch_follows_vartheta(self, capsys):
         code, out, _ = run_cli(capsys, [

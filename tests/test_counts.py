@@ -235,6 +235,8 @@ REAL_SITES = {
         "variance", "[0, inf)", lambda v: FiEstimate(1.0, v)),
     "ContextSample.theta": (
         "theta", "(-inf, inf)", lambda v: ContextSample(v, 10, 5)),
+    "sample_binary.theta": (
+        "theta", "(-inf, inf)", lambda v: sample_binary(NOISY, v, 10, 1)),
     "sample_binary.p0": (
         "p0", "[0, 1]", lambda v: sample_binary(_FixedP0(v), 0.7, 10, 1)),
     "analytic_certification.t_total": (
@@ -247,8 +249,9 @@ REAL_SITES = {
         "theta", "(-inf, inf)", lambda v: classifier_fi(NOISY, v)),
     "classifier_fi.delta": (
         "delta", "(0, inf)", lambda v: classifier_fi(NOISY, 1.0, v)),
-    "mc_rmse.theta_true": (
-        "theta_true", "(-inf, inf)", lambda v: mc_rmse(IDEAL, v, 10, 10, 1)),
+    "mc_rmse.theta": (
+        "theta", "(0.0, 3.141592653589793)",
+        lambda v: mc_rmse(IDEAL, v, 10, 10, 1)),
     "mc_rmse.vartheta": (
         "vartheta", "(-inf, inf)",
         lambda v: mc_rmse(IDEAL, 1.0, 10, 10, 1, vartheta=v)),
@@ -328,7 +331,8 @@ def test_kept_domain_check_refuses_nan(site, value):
         call(value)
 
 
-@pytest.mark.parametrize("delta", [math.nan, -math.inf, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("delta", [math.nan, -math.inf, 0.0, -1.0, math.inf,
+                                   "0.1", None])
 def test_classifier_score_delta_keeps_its_class(delta):
     with pytest.raises(EstimationError, match="^delta must be > 0"):
         classifier_score((5, 5), (5, 5), delta)
@@ -386,25 +390,24 @@ class TestOverflowAndWarnings:
         assert (captured.out == "") == (code != 0)
 
     def test_rmse_far_from_the_branch_is_finite(self, capsys):
-        # every estimate lies in [0, pi], so the error is -1e308 in each
-        # replication; its square overflows, the scaled mean does not
-        assert [mc_rmse(IDEAL, 1e308, n, 50, 1, i)
-                for i, n in enumerate((100, 316, 1000))] == [1e308] * 3
-        # the CLI refuses a theta outside the MLE branch
+        # the CLI refuses a theta outside the MLE branch, whose squared
+        # error would overflow, with one line and no warning
         assert cli.main(["rmse", "--seed", "1", "--theta", "1e308", "--n-grid",
                          "100:1000:3", "--reps", "50"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.out == "" and captured.err == (
+            "cfii: config error: theta must lie in (0.0, 3.141592653589793), "
+            "got 1e+308\n")
 
-    @pytest.mark.parametrize("theta_true", [1.0, 4.0, 40.0])
-    def test_rmse_scaling_is_exact(self, theta_true):
-        # the error scaled by a power of two gives the unscaled RMSE bit
-        # for bit, also where some |error| >= 1
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
+    def test_rmse_scaling_is_exact(self, theta):
+        # the RMSE is sqrt(mean(err ** 2)) of the MLE's errors, unscaled:
+        # on the branch |err| < pi, and its square cannot overflow
         rng_ = rng.derive_rng(5, 3, 2)
-        p0 = float(IDEAL.p0(theta_true))
+        p0 = float(IDEAL.p0(theta))
         err = estimate._mle_theta(rng_.binomial(100, p0, size=200) / 100,
-                                  0.0) - theta_true
-        assert mc_rmse(IDEAL, theta_true, 100, 200, 5, 2) == float(
+                                  0.0) - theta
+        assert mc_rmse(IDEAL, theta, 100, 200, 5, 2) == float(
             np.sqrt(np.mean(err ** 2)))
 
 

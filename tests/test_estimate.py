@@ -3,6 +3,7 @@ experiments."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -19,7 +20,7 @@ from cfii.estimate import (ContextSample, _mle_theta, _plugin, _variance,
 from cfii.models import (NoisyFringeModel, NoisyFringeParams,
                          QubitFringeModel, QubitPreparation)
 from cfii.rng import derive_rng
-from cfii.witness import k_chain_gain, v_chain
+from cfii.witness import k_chain_gain, split_optimized_benchmark, v_chain
 
 GOLDEN = NoisyFringeParams(gamma=0.25, epsilon_r=0.02, vartheta0=0.0)
 NOISY = NoisyFringeModel(GOLDEN)
@@ -636,6 +637,33 @@ class TestCertifyCore:
             assert mc_vk_distribution(*args) == (mean, (lo, hi))
 
 
+class TestOneRate:
+    """A function that takes one model at one rate refuses one over an array
+    of rates, by name, at every size: also where the rates would pair off
+    with its K + 1 contexts or its 512 split points."""
+
+    CALLS = {
+        "certify_vk": lambda m: certify_vk(
+            ContextSample(1.0, 1000, 300), [ContextSample(0.5, 1000, 200)] * 2,
+            m),
+        "mc_vk_distribution": lambda m: mc_vk_distribution(
+            m.params, math.pi / 2, 4, 1000, 100, 1),
+        "sample_binary": lambda m: sample_binary(m, 1.0, 100, 1),
+        "split_optimized_benchmark": lambda m: split_optimized_benchmark(
+            m, T),
+        "mc_rmse": lambda m: mc_rmse(m, 1.0, 100, 10, 1),
+        "classifier_fi": lambda m: classifier_fi(m, 1.0, seed=1),
+    }
+
+    @pytest.mark.parametrize("r", [1, 3, 5, 512])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_array_of_rates_refused(self, call, r):
+        with pytest.raises(ValueError, match=r"^the model must have one "
+                           rf"rate, got rates of shape \({r},\)$"):
+            self.CALLS[call](NoisyFringeModel(NoisyFringeParams(
+                gamma=np.linspace(0.1, 0.5, r), epsilon_r=0.02)))
+
+
 class TestClassifierScore:
     def test_symmetric_counts_give_zero(self):
         assert classifier_score((50, 50), (50, 50), 0.1) == (0.0, 0.0)
@@ -663,6 +691,18 @@ class TestClassifierScore:
                            match=r"^score overflows at delta = 5e-324$"):
             classifier_score((10, 90), (90, 10), 5e-324)
         assert classifier_score((50, 50), (50, 50), 5e-324) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("plus, minus, name", [
+        ((5, 5), (5, 5, 100), "counts_minus"),
+        ((5, 5, 5), (5, 5, 5), "counts_plus"),
+        ((5,), (5,), "counts_plus"),
+        (5, (5, 5), "counts_plus"),
+        ((5, 5), None, "counts_minus"),
+    ])
+    def test_two_counts_per_class(self, plus, minus, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold two "
+                           "counts, of outcomes 0 and 1, got "):
+            classifier_score(plus, minus, 0.1)
 
 
 class TestClassifierFi:
@@ -718,6 +758,28 @@ class TestMleTheta:
         assert _mle_theta(np.array([1.0, 0.0]), 0.3).tolist() == [
             0.3, 0.3 + math.pi]
 
+    @staticmethod
+    def clamped(p0_hat, vartheta):
+        """The MLE with a frequency clamp to [1e-12, 1 - 1e-12] and pins
+        at the branch ends, as it once was computed."""
+        clamped = np.clip(p0_hat, 1e-12, 1.0 - 1e-12)
+        theta_hat = vartheta + 2.0 * np.arccos(np.sqrt(clamped))
+        return np.where(p0_hat >= 1.0, vartheta,
+                        np.where(p0_hat <= 0.0, vartheta + math.pi, theta_hat))
+
+    @pytest.mark.parametrize("vartheta", [0.0, 0.4, -2.5, 1e3])
+    def test_equals_the_clamped_form_below_1e12_shots(self, vartheta):
+        # no frequency of fewer than 10**12 shots lies strictly inside
+        # the clamp's margins, and arccos gives the pins exactly
+        rng = np.random.default_rng(31)
+        n = np.concatenate([np.arange(1, 300), [10 ** 12 - 1],
+                            rng.integers(300, 10 ** 12, 3000)])
+        n0 = np.concatenate([np.zeros_like(n), np.ones_like(n), n - 1, n,
+                             rng.integers(0, n + 1)])
+        p0_hat = n0 / np.tile(n, 5)
+        assert (_mle_theta(p0_hat, vartheta).tobytes()
+                == self.clamped(p0_hat, vartheta).tobytes())
+
 
 class TestMonteCarlo:
     def test_rmse_tracks_the_reference_bound(self):
@@ -728,10 +790,26 @@ class TestMonteCarlo:
         assert mc_rmse(IDEAL, T, 100, 50, seed=3) == mc_rmse(
             IDEAL, T, 100, 50, seed=3)
 
-    def test_rmse_saturated_frequencies_are_pinned(self):
-        # p0 = 1 at theta = 0: every replication sees n zeros, and the
-        # pinned branch end gives the exact estimate, not the clamp's 2e-6
-        assert mc_rmse(IDEAL, 0.0, 100, 10, seed=0) == 0.0
+    @pytest.mark.parametrize("vartheta", [0.0, 0.4])
+    def test_rmse_refuses_theta_off_the_branch(self, vartheta):
+        model = QubitFringeModel(QubitPreparation(vartheta, math.pi / 2))
+        branch = f"({vartheta}, {vartheta + math.pi})"
+        for theta in (vartheta - 1.0, vartheta, vartheta + math.pi,
+                      vartheta + 4.0):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"theta must lie in {branch}, got {theta}") + "$"):
+                mc_rmse(model, theta, 100, 10, 0, vartheta=vartheta)
+
+    @pytest.mark.parametrize("theta, p0", [(1e-10, 1.0),
+                                           (math.pi - 1e-8, 0.0)])
+    def test_rmse_refuses_theta_where_every_shot_agrees(self, theta, p0):
+        # on the branch, but p0 rounds to 1 or 0: every replication gives
+        # a branch end, at any n
+        assert float(IDEAL.p0(theta)) == p0
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"theta must give 0 < p0 < 1, got p0 = {p0} at theta = "
+                f"{theta!r}: every estimate is a branch end") + "$"):
+            mc_rmse(IDEAL, theta, 10 ** 5, 100, seed=1)
 
     def test_rmse_validation(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,19 @@ class TestArrayArguments:
         with pytest.raises(ValueError, match="at least one segment"):
             v_chain(np.ones(2), np.ones((2, 0)))
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: v_path("a", 1.0, 1.0), "f_ab"),
+        (lambda: classical_benchmark_path(1.0, "b"), "f_cb"),
+        (lambda: gain_indicator("x", 1.0), "f_end"),
+        (lambda: gain_indicator(1.0, [None]), "f_benchmark"),
+        (lambda: v_chain(None, [1.0]), "f_end"),
+    ])
+    def test_a_value_that_is_not_real_is_refused_by_name(self, call, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a real value, got ") as err:
+            call()
+        assert not isinstance(err.value, NonPositiveFiError)
+
     @pytest.mark.parametrize("call, match", [
         (lambda: v_chain(math.inf, [1.0]), r"^f_end must be finite, got inf$"),
         (lambda: v_chain(np.ones(2), [[1.0, 1.0], [1.0, math.inf]]),
